@@ -32,7 +32,7 @@ printUsage(std::ostream &os, const char *prog)
           " [--replicas N] [--policy NAME]"
           " [--slo-p99-ms X] [--budget-chips N]"
           " [--schedules N]\n"
-       << "  --threads N  worker threads (default: all cores)\n"
+       << "  --threads N  worker threads (default: 0 = all cores)\n"
        << "  --seed N     base RNG seed (default: 1)\n"
        << "  --csv        emit tables as CSV\n"
        << "  --trace FILE write a Chrome trace_event JSON at exit"
@@ -184,7 +184,8 @@ parseBenchArgs(int argc, char **argv)
         } else if (arg == "--csv") {
             args.csv = true;
         } else if (flagValue(argc, argv, i, "--threads", value)) {
-            args.threads = std::atoi(value.c_str());
+            args.threads =
+                parseCount(argv[0], "--threads", value, 0);
         } else if (flagValue(argc, argv, i, "--seed", value)) {
             args.seed = std::strtoull(value.c_str(), nullptr, 10);
         } else if (flagValue(argc, argv, i, "--trace", value)) {

@@ -30,7 +30,7 @@ namespace transfusion::bench
  */
 struct BenchArgs
 {
-    /** Worker threads for parallel sweeps; <= 0 = all hardware. */
+    /** Worker threads for parallel sweeps; 0 = all hardware. */
     int threads = 0;
     /** Base RNG seed for stochastic components / workloads. */
     std::uint64_t seed = 1;

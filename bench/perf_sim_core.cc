@@ -100,7 +100,6 @@ BM_FleetP2c8Replicas(benchmark::State &state)
     const auto wl = saturatingWorkload(256);
     fleet::FleetOptions opts;
     opts.serve = serveOptions(core);
-    opts.core = core;
     opts.threads = 1;
     opts.plan_threads = 1;
     const auto fleet = fleet::FleetSimulator::uniform(
@@ -141,7 +140,6 @@ BM_FleetSlowdownFaults(benchmark::State &state)
     const auto wl = saturatingWorkload(256);
     fleet::FleetOptions opts;
     opts.serve = serveOptions(core);
-    opts.core = core;
     opts.threads = 1;
     opts.plan_threads = 1;
     constexpr int kReplicas = 8;

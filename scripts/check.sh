@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification, a ThreadSanitizer pass over the threaded
-# layers, an observability-off build proving the TF_* macros are
-# true no-ops under -Werror, and a line-coverage gate over the
+# layers, an AddressSanitizer pass over the unit/fuzz/chaos tiers,
+# an observability-off build proving the TF_* macros are true
+# no-ops under -Werror, and a line-coverage gate over the
 # simulation hot layers.
 #
 # Test selection is label-based (see tests/CMakeLists.txt):
@@ -12,8 +13,8 @@
 #   perf-smoke                          ~1 s sim-core bench canary
 #
 # Usage: scripts/check.sh
-#        [--tier1-only | --tsan-only | --obs-off-only |
-#         --coverage-only | --ubsan-only]
+#        [--tier1-only | --tsan-only | --asan-only |
+#         --obs-off-only | --coverage-only | --ubsan-only]
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -109,6 +110,20 @@ run_tsan() {
         --threads "$jobs" > /dev/null
 }
 
+run_asan() {
+    echo "== ASan: unit, fuzz and chaos tiers =="
+    # Out-of-bounds, use-after-free and leaks across every layer:
+    # the unit tier covers each module, the fuzz tier drives the
+    # traffic model, DPipe scheduler and fault-schedule validator
+    # with randomized input, and the chaos sweep runs the
+    # fleet/fault loops through randomized drain/retry/replan
+    # paths.
+    cmake -B build-asan -S . -DTRANSFUSION_SANITIZE=address
+    cmake --build build-asan -j "$jobs"
+    ctest --test-dir build-asan --output-on-failure -j "$jobs" \
+        -L 'unit|fuzz|chaos'
+}
+
 run_ubsan() {
     echo "== UBSan: fault/fleet arithmetic =="
     # The gray-failure layers are arithmetic-heavy (slowdown
@@ -144,13 +159,14 @@ run_obs_off() {
 case "$mode" in
     --tier1-only)    run_tier1 ;;
     --tsan-only)     run_tsan ;;
+    --asan-only)     run_asan ;;
     --obs-off-only)  run_obs_off ;;
     --coverage-only) run_coverage ;;
     --ubsan-only)    run_ubsan ;;
-    all)             run_tier1; run_tsan; run_obs_off; run_coverage
-                     run_ubsan ;;
+    all)             run_tier1; run_tsan; run_asan; run_obs_off
+                     run_coverage; run_ubsan ;;
     *)
-        echo "usage: $0 [--tier1-only | --tsan-only |" \
+        echo "usage: $0 [--tier1-only | --tsan-only | --asan-only |" \
             "--obs-off-only | --coverage-only | --ubsan-only]" >&2
         exit 2
         ;;

@@ -5,8 +5,8 @@
  * sweeps).
  *
  * Serving-layer construction recomputes identical Evaluator tables
- * over and over: every fleet replica slot calibrates the same
- * (arch, model, tp, pp) grids, every fault re-carve of the same
+ * over and over: every planner candidate of one (cluster, chips,
+ * tp, pp) calibrates the same grids, every fault re-carve of the same
  * surviving cluster replans the same shard sweep, and benches
  * construct the same simulator per load point.  All of those
  * builders are *pure* — bit-identical output for equal inputs — so
@@ -18,10 +18,11 @@
  * pins exactly that).  getOrBuild therefore runs the builder under
  * a task-local obs::Registry, stores the resulting snapshot next to
  * the value, and *replays* that snapshot into the caller's current
- * registry on every hit — counters, gauges, peaks and timer
- * histograms land exactly as the original build recorded them.
- * (Wall-clock timer *values* are replayed from the first build;
- * deterministic consumers only read timer counts, which match.)
+ * registry on every hit — counters, gauges and peaks land exactly
+ * as the original build recorded them.  Timers replay their sample
+ * *counts* as zero-length samples: a hit takes no build time, so
+ * replaying the first build's wall-clock durations would bill it
+ * twice.  RunReports export only timer counts, which match.
  *
  * Keys come from costmodel::KeyBuilder and must fingerprint every
  * input that can change the value (see cache_key.hh).  Values are
@@ -104,6 +105,12 @@ class CostTableCache
         entry.type = &typeid(T);
         entry.recorded = local.snapshot();
         obs::currentRegistry().merge(entry.recorded);
+        for (auto &[name, timer] : entry.recorded.timers) {
+            Histogram zeros;
+            for (std::size_t i = 0; i < timer.count(); ++i)
+                zeros.add(0.0);
+            timer = std::move(zeros);
+        }
         map_.emplace(key, std::move(entry));
         stats_.entries = static_cast<std::int64_t>(map_.size());
         return value;
@@ -127,7 +134,8 @@ class CostTableCache
     {
         std::shared_ptr<const void> value;
         const std::type_info *type = nullptr;
-        /** Registry deltas the original build recorded. */
+        /** Registry deltas a hit replays: the original build's,
+         *  with each timer's samples zeroed. */
         obs::RegistrySnapshot recorded;
     };
 

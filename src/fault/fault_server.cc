@@ -8,7 +8,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <map>
 #include <set>
 #include <sstream>
 
@@ -24,15 +23,6 @@ namespace
 {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-multichip::ShardPlanOptions
-planOptions(const FaultServeOptions &options)
-{
-    multichip::ShardPlanOptions plan;
-    plan.evaluator = options.serve.cost.evaluator;
-    plan.threads = options.plan_threads;
-    return plan;
-}
 
 } // namespace
 
@@ -77,6 +67,26 @@ RetryPolicy::validate() const
                  max_attempts);
 }
 
+std::optional<serve::Request>
+RetryBudget::retry(const serve::Request &req, double t)
+{
+    int &k = attempts_[req.id];
+    if (k >= policy_.max_attempts)
+        return std::nullopt;
+    k += 1;
+    serve::Request r = req;
+    r.arrival_s = t + policy_.delaySeconds(k);
+    return r;
+}
+
+bool
+RetryBudget::exhausted(std::int64_t id) const
+{
+    const auto it = attempts_.find(id);
+    return it != attempts_.end()
+        && it->second >= policy_.max_attempts;
+}
+
 std::string
 FaultServeMetrics::summary() const
 {
@@ -103,13 +113,10 @@ FaultTolerantServer::FaultTolerantServer(
     workload_.validate();
     options_.retry.validate();
     spec_ = options_.initial_spec;
-    if (spec_.tp <= 0 || spec_.pp <= 0) {
-        const multichip::ShardPlan plan = multichip::planShards(
-            cluster_, model::decoderOnly(cfg_), /*src_len=*/0,
-            workload_.maxContext(), options_.serve.strategy,
-            planOptions(options_));
-        spec_ = plan.bestEntry().spec;
-    }
+    if (spec_.tp <= 0 || spec_.pp <= 0)
+        spec_ = multichip::bestServingSpec(cluster_, cfg_, workload_,
+                                           options_.serve,
+                                           options_.plan_threads);
     sim_.emplace(multichip::shardedSimulator(
         cluster_, cfg_, spec_, workload_, options_.serve));
 }
@@ -154,7 +161,7 @@ FaultTolerantServer::run(const std::vector<serve::Request> &requests,
     serve::ServeSession session = sim_->startSession(requests);
 
     // Retry bookkeeping, keyed by the stable request id.
-    std::map<std::int64_t, int> attempts;
+    RetryBudget budget(options_.retry);
     std::set<std::int64_t> retried_ids;
     std::set<std::int64_t> final_rejected;
 
@@ -201,17 +208,13 @@ FaultTolerantServer::run(const std::vector<serve::Request> &requests,
     const auto scheduleRetry =
         [&](const serve::Request &req, double not_before,
             std::vector<serve::Request> &inject) {
-            int &k = attempts[req.id];
-            if (k >= options_.retry.max_attempts)
+            // Queue-wait and latency of the retry measure the
+            // retry; the backoff shows up as degraded-window idle
+            // time.
+            const auto r = budget.retry(req, not_before);
+            if (!r)
                 return false;
-            ++k;
-            serve::Request r = req;
-            // The re-offer's clock restarts here: queue-wait and
-            // latency of the retry measure the retry, and the
-            // backoff delay shows up as degraded-window idle time.
-            r.arrival_s =
-                not_before + options_.retry.delaySeconds(k);
-            inject.push_back(r);
+            inject.push_back(*r);
             retried_ids.insert(req.id);
             fm.retries += 1;
             return true;
@@ -253,9 +256,7 @@ FaultTolerantServer::run(const std::vector<serve::Request> &requests,
                 session.metrics.rejected -= 1;
             } else {
                 final_rejected.insert(rec.req.id);
-                if (attempts.count(rec.req.id) != 0
-                    && attempts[rec.req.id]
-                        >= options_.retry.max_attempts)
+                if (budget.exhausted(rec.req.id))
                     fm.retry_exhausted += 1;
             }
         }
@@ -299,11 +300,9 @@ FaultTolerantServer::run(const std::vector<serve::Request> &requests,
             return;
         }
         outage = false;
-        const multichip::ShardPlan plan = multichip::planShards(
-            surviving, stack, /*src_len=*/0,
-            workload_.maxContext(), options_.serve.strategy,
-            planOptions(options_));
-        spec = plan.bestEntry().spec;
+        spec = multichip::bestServingSpec(surviving, cfg_, workload_,
+                                          options_.serve,
+                                          options_.plan_threads);
         degraded.emplace(multichip::shardedSimulator(
             surviving, cfg_, spec, workload_, options_.serve));
         sim = &*degraded;

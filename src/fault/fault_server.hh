@@ -44,6 +44,7 @@
 #ifndef TRANSFUSION_FAULT_FAULT_SERVER_HH
 #define TRANSFUSION_FAULT_FAULT_SERVER_HH
 
+#include <map>
 #include <optional>
 #include <vector>
 
@@ -78,6 +79,36 @@ struct RetryPolicy
 
     /** Fatal unless delays/counts are positive, finite and sane. */
     void validate() const;
+};
+
+/**
+ * Per-request retry accounting against one RetryPolicy, keyed by
+ * the stable request id: the one place a re-offer is charged,
+ * refused once its request has spent max_attempts, and timed with
+ * the capped backoff.  Callers keep their own counters and decide
+ * where a granted re-offer goes.
+ */
+class RetryBudget
+{
+  public:
+    explicit RetryBudget(const RetryPolicy &policy) : policy_(policy)
+    {}
+
+    /**
+     * Charge one retry of `req`, which failed at `t`: the re-offer
+     * for its k-th attempt, arriving at t + delaySeconds(k) — its
+     * clock restarts there, so the backoff shows up as idle time,
+     * not queue wait — or nullopt once the budget is spent.
+     */
+    std::optional<serve::Request> retry(const serve::Request &req,
+                                        double t);
+
+    /** Whether request `id` asked for a retry and has none left. */
+    bool exhausted(std::int64_t id) const;
+
+  private:
+    RetryPolicy policy_;
+    std::map<std::int64_t, int> attempts_;
 };
 
 /** Configuration of one fault-tolerant serving replica. */
@@ -182,12 +213,6 @@ class FaultTolerantServer
 
     /** The healthy-cluster sharding in force at t = 0. */
     multichip::ShardSpec initialSpec() const { return spec_; }
-
-    /** The healthy-cluster simulator (empty-schedule baseline). */
-    const serve::ServeSimulator &healthySimulator() const
-    {
-        return *sim_;
-    }
 
   private:
     multichip::ClusterConfig cluster_;

@@ -7,13 +7,11 @@
 
 #include <algorithm>
 #include <limits>
-#include <map>
 #include <optional>
 
 #include "common/logging.hh"
 #include "common/thread_pool.hh"
 #include "fleet/event_queue.hh"
-#include "model/stack.hh"
 #include "multichip/sharded_serve.hh"
 #include "obs/obs.hh"
 
@@ -58,37 +56,37 @@ struct ReplicaState
 
 } // namespace
 
-FleetSimulator::FleetSimulator(std::vector<ReplicaConfig> replicas,
+FleetSimulator::FleetSimulator(int replicas,
+                               multichip::ClusterConfig cluster,
+                               multichip::ShardSpec spec,
                                model::TransformerConfig cfg,
                                serve::WorkloadOptions workload,
                                FleetOptions options)
-    : replicas_(std::move(replicas)), cfg_(std::move(cfg)),
-      workload_(workload), options_(std::move(options))
+    : replicas_(replicas), cluster_(std::move(cluster)), spec_(spec),
+      options_(std::move(options))
 {
-    if (replicas_.empty())
-        tf_fatal("a fleet needs at least one replica");
-    cfg_.validate();
-    workload_.validate();
+    if (replicas_ < 1)
+        tf_fatal("a fleet needs at least one replica, got ",
+                 replicas_);
+    cfg.validate();
+    workload.validate();
     options_.retry.validate();
     if (options_.autoscaler.enabled)
-        options_.autoscaler.validate(
-            static_cast<int>(replicas_.size()));
+        options_.autoscaler.validate(replicas_);
     if (options_.health.enabled)
         options_.health.validate();
     if (options_.brownout.enabled)
         options_.brownout.validate();
-    for (ReplicaConfig &r : replicas_) {
-        r.cluster.validate();
-        multichip::ShardSpec spec = r.spec;
-        if (spec.tp <= 0 || spec.pp <= 0)
-            spec = planSpec(r.cluster);
-        specs_.push_back(spec);
-        sims_.push_back(
-            std::make_shared<const serve::ServeSimulator>(
-                multichip::shardedSimulator(r.cluster, cfg_, spec,
-                                            workload_,
-                                            options_.serve)));
-    }
+    cluster_.validate();
+    if (spec_.tp <= 0 || spec_.pp <= 0)
+        spec_ = multichip::bestServingSpec(cluster_, cfg, workload,
+                                           options_.serve,
+                                           options_.plan_threads);
+    // Calibrate once, share everywhere: sessions never touch the
+    // simulator's (immutable) tables, so every replica runs on one
+    // instance.
+    sim_.emplace(multichip::shardedSimulator(
+        cluster_, cfg, spec_, workload, options_.serve));
 }
 
 FleetSimulator
@@ -111,58 +109,17 @@ FleetSimulator::uniform(int replicas,
                         serve::WorkloadOptions workload,
                         FleetOptions options)
 {
-    if (replicas < 1)
-        tf_fatal("a fleet needs at least one replica, got ",
-                 replicas);
-    FleetSimulator fleet;
-    fleet.cfg_ = std::move(cfg);
-    fleet.workload_ = workload;
-    fleet.options_ = std::move(options);
-    fleet.cfg_.validate();
-    fleet.workload_.validate();
-    fleet.options_.retry.validate();
-    if (fleet.options_.autoscaler.enabled)
-        fleet.options_.autoscaler.validate(replicas);
-    if (fleet.options_.health.enabled)
-        fleet.options_.health.validate();
-    if (fleet.options_.brownout.enabled)
-        fleet.options_.brownout.validate();
-    cluster.validate();
-    if (spec.tp <= 0 || spec.pp <= 0)
-        spec = fleet.planSpec(cluster);
-    // Calibrate once, share everywhere: sessions never touch the
-    // simulator's (immutable) tables, so identical replicas can
-    // alias one instance.
-    const auto sim = std::make_shared<const serve::ServeSimulator>(
-        multichip::shardedSimulator(cluster, fleet.cfg_, spec,
-                                    fleet.workload_,
-                                    fleet.options_.serve));
-    for (int i = 0; i < replicas; ++i) {
-        fleet.replicas_.push_back(ReplicaConfig{ cluster, spec });
-        fleet.specs_.push_back(spec);
-        fleet.sims_.push_back(sim);
-    }
-    return fleet;
-}
-
-multichip::ShardSpec
-FleetSimulator::planSpec(
-    const multichip::ClusterConfig &cluster) const
-{
-    multichip::ShardPlanOptions plan;
-    plan.evaluator = options_.serve.cost.evaluator;
-    plan.threads = options_.plan_threads;
-    const multichip::ShardPlan best = multichip::planShards(
-        cluster, model::decoderOnly(cfg_), /*src_len=*/0,
-        workload_.maxContext(), options_.serve.strategy, plan);
-    return best.bestEntry().spec;
+    return FleetSimulator(replicas, std::move(cluster), spec,
+                          std::move(cfg), workload,
+                          std::move(options));
 }
 
 FleetMetrics
 FleetSimulator::run(const std::vector<serve::Request> &requests,
                     const FleetRunOptions &run) const
 {
-    const int pool = replicaCount();
+    const int pool = replicas_;
+    const serve::ServeSimulator &sim = *sim_;
     for (std::size_t i = 0; i < requests.size(); ++i) {
         const serve::Request &r = requests[i];
         if (r.prompt_len <= 0 || r.output_len <= 0)
@@ -182,10 +139,9 @@ FleetSimulator::run(const std::vector<serve::Request> &requests,
         static_cast<std::size_t>(pool));
     bool any_faults = false;
     for (std::size_t i = 0; i < run.faults.size(); ++i) {
-        spans[i] = run.faults[i].downSpans(
-            replicas_[i].cluster.size());
-        timelines[i] = run.faults[i].slowdownTimeline(
-            replicas_[i].cluster.size());
+        spans[i] = run.faults[i].downSpans(cluster_.size());
+        timelines[i] =
+            run.faults[i].slowdownTimeline(cluster_.size());
         any_faults = any_faults || !spans[i].empty()
             || !timelines[i].empty();
     }
@@ -198,7 +154,7 @@ FleetSimulator::run(const std::vector<serve::Request> &requests,
         // instrumentation) as the single sharded replica, so the
         // trivial fleet is bit-identical — metrics and RunReport —
         // to the fault-tolerant server on an empty schedule.
-        serve::ServeMetrics m = sims_[0]->run(requests);
+        serve::ServeMetrics m = sim.run(requests);
         FleetMetrics fm;
         fm.offered = m.offered;
         fm.completed = m.completed;
@@ -247,13 +203,13 @@ FleetSimulator::run(const std::vector<serve::Request> &requests,
     for (int i = 0; i < initial; ++i) {
         states[static_cast<std::size_t>(i)].active = true;
         states[static_cast<std::size_t>(i)].session =
-            sims_[static_cast<std::size_t>(i)]->startSession({});
+            sim.startSession({});
     }
 
     std::size_t next_trace = 0;
     std::vector<serve::Request> reoffers; ///< (arrival, id) sorted
     std::vector<serve::Request> held;     ///< no eligible replica
-    std::map<std::int64_t, int> attempts;
+    fault::RetryBudget budget(options_.retry);
     double next_tick = scaling ? options_.autoscaler.interval_s
                                : kInf;
 
@@ -299,7 +255,7 @@ FleetSimulator::run(const std::vector<serve::Request> &requests,
     // timestamped fact, so it merges as a separate gated candidate
     // below.  All of this is inert under the legacy core.
     const bool event_core =
-        options_.core == serve::SimCoreKind::EventHeap;
+        options_.serve.core == serve::SimCoreKind::EventHeap;
     FleetEventQueue queue;
     const auto pushTraceFront = [&]() {
         if (event_core && next_trace < requests.size())
@@ -391,14 +347,12 @@ FleetSimulator::run(const std::vector<serve::Request> &requests,
                 // fan-out would serialize anyway and only add two
                 // futex round-trips per session: advance inline.
                 for (const int i : needy)
-                    sims_[static_cast<std::size_t>(i)]->advance(
-                        *at(i).session, horizon);
+                    sim.advance(*at(i).session, horizon);
             } else if (!needy.empty()) {
                 parallelMap(advance_pool, needy,
                             [&](const int &i) {
-                                sims_[static_cast<std::size_t>(i)]
-                                    ->advance(*at(i).session,
-                                              horizon);
+                                sim.advance(*at(i).session,
+                                            horizon);
                                 return 0;
                             });
             }
@@ -406,8 +360,7 @@ FleetSimulator::run(const std::vector<serve::Request> &requests,
             parallelMap(advance_pool, indices, [&](const int &i) {
                 ReplicaState &st = at(i);
                 if (st.session)
-                    sims_[static_cast<std::size_t>(i)]->advance(
-                        *st.session, horizon);
+                    sim.advance(*st.session, horizon);
                 return 0;
             });
         }
@@ -455,8 +408,6 @@ FleetSimulator::run(const std::vector<serve::Request> &requests,
         ReplicaState &st = at(i);
         if (!st.session)
             return;
-        const serve::ServeSimulator &sim =
-            *sims_[static_cast<std::size_t>(i)];
         std::vector<serve::Request> out;
         for (const serve::InFlightRequest &r :
              sim.drainRunning(*st.session)) {
@@ -471,18 +422,12 @@ FleetSimulator::run(const std::vector<serve::Request> &requests,
             // re-counted wherever it terminates.
             st.session->metrics.offered -= 1;
             fm.failover_drained += 1;
-            int &k = attempts[req.id];
-            if (k >= options_.retry.max_attempts) {
+            const auto r = budget.retry(req, t);
+            if (!r) {
                 fm.failover_exhausted += 1;
                 continue;
             }
-            k += 1;
-            serve::Request r = req;
-            // The re-offer's clock restarts here, exactly as a
-            // fault-layer retry: the backoff shows up as idle
-            // time, not as queue wait.
-            r.arrival_s = t + options_.retry.delaySeconds(k);
-            reoffers.push_back(r);
+            reoffers.push_back(*r);
             fm.failover_reroutes += 1;
         }
         std::sort(reoffers.begin(), reoffers.end(), arrivesBefore);
@@ -595,8 +540,7 @@ FleetSimulator::run(const std::vector<serve::Request> &requests,
             }
             const int i = router.pick(views);
             ReplicaState &st = at(i);
-            sims_[static_cast<std::size_t>(i)]->injectRequests(
-                *st.session, { r });
+            sim.injectRequests(*st.session, { r });
             st.session->metrics.offered += 1;
         }
     };
@@ -626,9 +570,7 @@ FleetSimulator::run(const std::vector<serve::Request> &requests,
             if (!st.active && !st.down) {
                 st.active = true;
                 if (!st.session) {
-                    st.session =
-                        sims_[static_cast<std::size_t>(i)]
-                            ->startSession({});
+                    st.session = sim.startSession({});
                     // Late activation under an in-force slowdown
                     // still runs at the schedule's pace.
                     st.session->slowdown = st.mult;
@@ -843,8 +785,7 @@ FleetSimulator::run(const std::vector<serve::Request> &requests,
             obs::Registry local;
             {
                 obs::ScopedRegistry scope(local);
-                m = sims_[static_cast<std::size_t>(i)]
-                        ->finishSession(*st.session);
+                m = sim.finishSession(*st.session);
             }
             obs::currentRegistry().mergePrefixed(
                 local.snapshot(),

@@ -1,9 +1,10 @@
 /**
  * @file
- * Deterministic multi-replica serving: N sharded replicas (each an
- * existing sharded serve::ServeSimulator, possibly heterogeneous
- * clusters or shardings) behind a seeded Router, with cross-replica
- * failover and an optional hysteresis Autoscaler.
+ * Deterministic multi-replica serving: N identical sharded replicas
+ * (one cluster, one sharding, one calibrated serve::ServeSimulator
+ * whose immutable cost tables every replica session shares) behind
+ * a seeded Router, with cross-replica failover and an optional
+ * hysteresis Autoscaler.
  *
  * The fleet drives every replica's resumable session
  * (startSession / advance / finishSession) against one shared
@@ -16,7 +17,7 @@
  * Failover: a replica with *any* chip down (FaultSchedule::
  * downSpans) is unroutable; at the down boundary its in-flight and
  * queued work is drained and re-offered to the router after the
- * capped-backoff retry budget (fault::RetryPolicy), never silently
+ * capped-backoff retry budget (fault::RetryBudget), never silently
  * dropped.  Sheds on a *healthy* replica (queue overflow,
  * can-never-fit) stay final — genuine overload is not a fault.
  * Intra-replica degraded replanning is the fault layer's domain;
@@ -53,7 +54,7 @@
 #define TRANSFUSION_FLEET_FLEET_SIM_HH
 
 #include <cstdint>
-#include <memory>
+#include <optional>
 #include <vector>
 
 #include "fault/fault_server.hh"
@@ -66,15 +67,6 @@
 
 namespace transfusion::fleet
 {
-
-/** One replica slot: its cluster and (optional) sharding. */
-struct ReplicaConfig
-{
-    multichip::ClusterConfig cluster;
-    /** tp = pp = 0 (the default) plans it with planShards at
-     *  construction, exactly as the fault layer does. */
-    multichip::ShardSpec spec{ 0, 0 };
-};
 
 /** Construction-time fleet configuration. */
 struct FleetOptions
@@ -102,16 +94,6 @@ struct FleetOptions
     int threads = 1;
     /** Worker threads for shard planning; <= 0 = all hardware. */
     int plan_threads = 0;
-    /**
-     * Which implementation drives the shared-clock loop; replica
-     * sessions follow `serve.core` independently.  Legacy rescans
-     * every source per iteration (fault boundaries, session work);
-     * EventHeap keeps boundaries in a deterministic min-heap (see
-     * fleet/event_queue.hh) and only advances sessions that have
-     * work behind the horizon.  Bit-identical by contract — the
-     * differential replay harness pins it.
-     */
-    serve::SimCoreKind core = serve::SimCoreKind::EventHeap;
 };
 
 /** Per-run (not per-fleet) knobs: cheap to sweep. */
@@ -135,18 +117,20 @@ struct FleetRunOptions
 
 /**
  * N calibrated sharded replicas behind one router.  Construction
- * calibrates each distinct replica's cost tables (the expensive
+ * calibrates the replicas' shared cost tables (the expensive
  * part); run() replays traces and is const.
+ *
+ * `serve.core` selects both the replica sessions' loop and the
+ * shared-clock loop.  Legacy rescans every source per iteration
+ * (fault boundaries, session work); EventHeap keeps boundaries in a
+ * deterministic min-heap (see fleet/event_queue.hh) and only
+ * advances sessions that have work behind the horizon.
+ * Bit-identical by contract — the differential replay harness pins
+ * it.
  */
 class FleetSimulator
 {
   public:
-    /** Heterogeneous fleet: one calibration per replica slot. */
-    FleetSimulator(std::vector<ReplicaConfig> replicas,
-                   model::TransformerConfig cfg,
-                   serve::WorkloadOptions workload,
-                   FleetOptions options = {});
-
     /**
      * Homogeneous fleet: `replicas` copies of one (cluster, spec),
      * planned and calibrated *once* and shared — sessions are
@@ -182,39 +166,28 @@ class FleetSimulator
     FleetMetrics run(const std::vector<serve::Request> &requests,
                      const FleetRunOptions &run = {}) const;
 
-    int replicaCount() const
-    {
-        return static_cast<int>(sims_.size());
-    }
+    int replicaCount() const { return replicas_; }
 
-    /** Replica i's calibrated simulator (shared in uniform()). */
-    const serve::ServeSimulator &replicaSimulator(int i) const
-    {
-        return *sims_.at(static_cast<std::size_t>(i));
-    }
+    /** The calibrated simulator every replica session runs on. */
+    const serve::ServeSimulator &simulator() const { return *sim_; }
 
-    /** Replica i's sharding in force. */
-    multichip::ShardSpec replicaSpec(int i) const
-    {
-        return specs_.at(static_cast<std::size_t>(i));
-    }
+    /** The sharding every replica runs. */
+    multichip::ShardSpec spec() const { return spec_; }
 
     const FleetOptions &options() const { return options_; }
 
   private:
-    FleetSimulator() = default; // uniform() assembles by hand
+    FleetSimulator(int replicas, multichip::ClusterConfig cluster,
+                   multichip::ShardSpec spec,
+                   model::TransformerConfig cfg,
+                   serve::WorkloadOptions workload,
+                   FleetOptions options);
 
-    /** planShards mirror of the fault layer's construction. */
-    multichip::ShardSpec
-    planSpec(const multichip::ClusterConfig &cluster) const;
-
-    std::vector<ReplicaConfig> replicas_;
-    model::TransformerConfig cfg_;
-    serve::WorkloadOptions workload_;
+    int replicas_ = 0;
+    multichip::ClusterConfig cluster_;
+    multichip::ShardSpec spec_{ 0, 0 };
     FleetOptions options_;
-    std::vector<multichip::ShardSpec> specs_;
-    /** Calibrated per-replica simulators; uniform() shares one. */
-    std::vector<std::shared_ptr<const serve::ServeSimulator>> sims_;
+    std::optional<serve::ServeSimulator> sim_;
 };
 
 } // namespace transfusion::fleet

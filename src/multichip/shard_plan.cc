@@ -5,11 +5,9 @@
 
 #include "shard_plan.hh"
 
-#include <algorithm>
-
 #include "common/logging.hh"
-#include "common/thread_pool.hh"
 #include "costmodel/cost_table_cache.hh"
+#include "obs/fan_out.hh"
 #include "obs/obs.hh"
 #include "serve/cost_model.hh"
 
@@ -55,37 +53,17 @@ planShardsUncached(const ClusterConfig &cluster,
                  stack.block.name, "' over ", cluster.size(),
                  " chips");
 
-    const int workers = static_cast<int>(std::min<std::size_t>(
-        static_cast<std::size_t>(options.threads > 0
-                                     ? options.threads
-                                     : ThreadPool::hardwareThreads()),
-        specs.size()));
-    ThreadPool pool(workers);
-    // Same determinism idiom as schedule::Sweep::run: per-task
-    // registries merged in grid order after input-order collection.
-    auto tagged = parallelMap(
-        pool, specs, [&](const ShardSpec &spec) {
-            obs::Registry local;
-            ShardPlanEntry entry;
-            {
-                obs::ScopedRegistry scope(local);
-                entry.spec = spec;
-                const ShardedStackEvaluator eval(
-                    cluster, stack, src_len, tgt_len, spec,
-                    options.evaluator);
-                entry.result = eval.evaluate(strategy);
-            }
-            return std::make_pair(std::move(entry),
-                                  std::move(local));
-        });
-
-    obs::Registry &sink = obs::currentRegistry();
     ShardPlan plan;
-    plan.entries.reserve(tagged.size());
-    for (auto &[entry, registry] : tagged) {
-        sink.merge(registry);
-        plan.entries.push_back(std::move(entry));
-    }
+    plan.entries = obs::fanOut(
+        options.threads, specs, [&](const ShardSpec &spec) {
+            ShardPlanEntry entry;
+            entry.spec = spec;
+            const ShardedStackEvaluator eval(cluster, stack, src_len,
+                                             tgt_len, spec,
+                                             options.evaluator);
+            entry.result = eval.evaluate(strategy);
+            return entry;
+        });
 
     for (std::size_t i = 1; i < plan.entries.size(); ++i) {
         if (plan.entries[i].objective(options.rank_by_steady_state)

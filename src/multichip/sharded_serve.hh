@@ -67,6 +67,21 @@ serve::ServeSimulator shardedSimulator(
     const serve::WorkloadOptions &workload,
     serve::ServeOptions options = {});
 
+/**
+ * The (tp, pp) a sharded replica of `cfg` serves with when none is
+ * given: planShards' best plan of `cluster` for the decoder-only
+ * stack at the workload's longest context, priced with the serve
+ * options' strategy and evaluator.  The fault-tolerant server (its
+ * initial plan and every replan) and the fleet both choose here.
+ * `threads` sizes the plan search (<= 0 = all hardware); the
+ * answer is the same for any value.
+ */
+ShardSpec bestServingSpec(const ClusterConfig &cluster,
+                          const model::TransformerConfig &cfg,
+                          const serve::WorkloadOptions &workload,
+                          const serve::ServeOptions &options,
+                          int threads);
+
 } // namespace transfusion::multichip
 
 #endif // TRANSFUSION_MULTICHIP_SHARDED_SERVE_HH

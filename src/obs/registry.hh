@@ -9,9 +9,9 @@
  * thread are deterministic; floating-point gauge *sums* across
  * threads are only deterministic when each task writes to its own
  * Registry and the per-task registries merge in a fixed (input)
- * order -- the rule schedule::Sweep::run and serve::runScenarios
- * follow.  Wall-clock timer durations are inherently
- * nondeterministic; RunReport therefore exports only their counts.
+ * order -- the rule obs::fanOut (obs/fan_out.hh) implements.
+ * Wall-clock timer durations are inherently nondeterministic;
+ * RunReport therefore exports only their counts.
  */
 
 #ifndef TRANSFUSION_OBS_REGISTRY_HH

@@ -13,9 +13,9 @@
 
 #include "common/logging.hh"
 #include "common/table.hh"
-#include "common/thread_pool.hh"
 #include "multichip/cluster.hh"
 #include "multichip/sharded_serve.hh"
+#include "obs/fan_out.hh"
 #include "obs/obs.hh"
 #include "serve/workload.hh"
 
@@ -174,14 +174,13 @@ CapacityPlanner::evaluate(const DeploymentSpec &spec,
     fo.autoscaler.enabled = spec.autoscaler;
     fo.threads = 1;
     fo.plan_threads = 1;
-    fo.core = options_.serve.core;
     const fleet::FleetSimulator fleet =
         fleet::FleetSimulator::uniform(spec.replicas, cluster,
                                        spec.shard, cfg_, workload_,
                                        fo);
 
     const double per_replica = decodeThroughputBound(
-        fleet.replicaSimulator(0).costModel());
+        fleet.simulator().costModel());
     out.analytic_tokens_per_s =
         per_replica * static_cast<double>(spec.replicas);
     if (options_.prune
@@ -283,37 +282,15 @@ CapacityPlanner::plan(const SearchSpace &space,
         serve::generateWorkload(workload_, seed);
     const double required = requiredTokensPerSecond(trace, slo_);
 
-    const int workers = static_cast<int>(std::min<std::size_t>(
-        static_cast<std::size_t>(
-            options_.threads > 0 ? options_.threads
-                                 : ThreadPool::hardwareThreads()),
-        specs.size()));
-    ThreadPool pool(workers);
-    // The determinism-merge idiom (schedule::Sweep, planShards):
-    // per-task registries, input-order collection, input-order
-    // merge — but prefixed, so same-named fleet metrics from
+    // Prefixed per candidate, so same-named fleet metrics from
     // different candidates never collide.
-    auto tagged = parallelMap(
-        pool, specs, [&](const DeploymentSpec &spec) {
-            obs::Registry local;
-            CandidateOutcome out;
-            {
-                obs::ScopedRegistry scope(local);
-                out = evaluate(spec, trace, required, seed);
-            }
-            return std::make_pair(std::move(out),
-                                  std::move(local));
-        });
-
-    obs::Registry &sink = obs::currentRegistry();
     PlanResult result;
-    result.candidates.reserve(tagged.size());
-    for (std::size_t i = 0; i < tagged.size(); ++i) {
-        sink.mergePrefixed(
-            tagged[i].second.snapshot(),
-            "plan/candidate." + std::to_string(i) + ".");
-        result.candidates.push_back(std::move(tagged[i].first));
-    }
+    result.candidates = obs::fanOut(
+        options_.threads, specs,
+        [&](const DeploymentSpec &spec) {
+            return evaluate(spec, trace, required, seed);
+        },
+        "plan/candidate.");
 
     result.enumerated =
         static_cast<std::int64_t>(result.candidates.size());

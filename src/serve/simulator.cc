@@ -14,9 +14,9 @@
 #include "common/logging.hh"
 #include "common/math_utils.hh"
 #include "common/table.hh"
-#include "common/thread_pool.hh"
 #include "costmodel/cache_key.hh"
 #include "costmodel/cost_table_cache.hh"
+#include "obs/fan_out.hh"
 #include "obs/obs.hh"
 
 namespace transfusion::serve
@@ -671,29 +671,11 @@ runScenarios(const ServeSimulator &sim,
              const std::vector<ServeScenario> &scenarios,
              int threads)
 {
-    ThreadPool pool(threads);
-    // Each replay records its metrics into a task-local registry;
-    // merging those registries in scenario (input) order afterwards
-    // keeps the caller's observed metrics bit-identical for any
-    // thread count -- the same contract the metrics vector has.
-    auto tagged = parallelMap(
-        pool, scenarios, [&sim](const ServeScenario &s) {
-            obs::Registry local;
-            ServeMetrics m;
-            {
-                obs::ScopedRegistry scope(local);
-                m = sim.run(generateWorkload(s.workload, s.seed));
-            }
-            return std::make_pair(std::move(m), std::move(local));
-        });
-    obs::Registry &sink = obs::currentRegistry();
-    std::vector<ServeMetrics> out;
-    out.reserve(tagged.size());
-    for (auto &[metrics, registry] : tagged) {
-        sink.merge(registry);
-        out.push_back(std::move(metrics));
-    }
-    return out;
+    return obs::fanOut(threads, scenarios,
+                       [&sim](const ServeScenario &s) {
+                           return sim.run(
+                               generateWorkload(s.workload, s.seed));
+                       });
 }
 
 } // namespace transfusion::serve

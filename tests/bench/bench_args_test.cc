@@ -112,7 +112,7 @@ TEST(BenchArgsDeathTest, Int64OverflowIsRejectedNotWrapped)
 TEST(BenchArgs, FaultsFlagAcceptsZero)
 {
     // --faults is a count of incidents, and zero (fault-free) is a
-    // meaningful baseline -- the only bench flag with min 0.
+    // meaningful baseline, so its minimum is 0.
     EXPECT_EQ(parse({ "bench" }).faults, 1);
     EXPECT_EQ(parse({ "bench", "--faults", "0" }).faults, 0);
     EXPECT_EQ(parse({ "bench", "--faults=3" }).faults, 3);
@@ -123,6 +123,28 @@ TEST(BenchArgsDeathTest, NegativeFaultsExitsWithUsageError)
     EXPECT_EXIT(parse({ "bench", "--faults", "-1" }),
                 testing::ExitedWithCode(2),
                 "--faults needs a non-negative integer");
+}
+
+TEST(BenchArgs, ThreadsAcceptsZeroAsAllCores)
+{
+    EXPECT_EQ(parse({ "bench" }).threads, 0);
+    EXPECT_EQ(parse({ "bench", "--threads", "0" }).threads, 0);
+    EXPECT_EQ(parse({ "bench", "--threads=4" }).threads, 4);
+}
+
+TEST(BenchArgsDeathTest, ThreadsRejectsGarbageAndNegatives)
+{
+    // atoi used to read these as 0 ("all cores") or a negative
+    // count and carry on with exit status 0.
+    EXPECT_EXIT(parse({ "bench", "--threads", "abc" }),
+                testing::ExitedWithCode(2),
+                "--threads needs a non-negative integer");
+    EXPECT_EXIT(parse({ "bench", "--threads", "4x" }),
+                testing::ExitedWithCode(2),
+                "--threads needs a non-negative integer");
+    EXPECT_EXIT(parse({ "bench", "--threads=-1" }),
+                testing::ExitedWithCode(2),
+                "--threads needs a non-negative integer");
 }
 
 TEST(BenchArgsDeathTest, UnknownFlagsStillExit)

@@ -1,21 +1,13 @@
 /**
  * @file
- * Seeded chaos-invariant harness: hundreds of randomized fault
- * schedules (losses, link degrades, correlated gray-failure
- * slowdowns) swept across routing policies, health/brownout
- * configurations, and both sim cores, with five invariants asserted
- * on every run:
- *
- *   1. conservation — completed + rejected == offered, fleet-wide
- *      and per replica;
- *   2. core agreement — Legacy and EventHeap replays are bitwise
- *      identical (metrics and RunReport);
- *   3. thread independence — threads=1 and threads=4 replays are
- *      bitwise identical;
- *   4. termination — every run returns (the ctest TIMEOUT property
- *      on this binary is the backstop for a hung loop);
- *   5. exact recovery — a fault-tolerant server replay whose
- *      schedule was fully applied ends on the exact initial spec.
+ * Seeded chaos-invariant sweep: kSeeds seeds of the shared harness
+ * (bench/chaos_harness.hh), each replaying kReplicas randomized
+ * fault schedules across routing policies, health/brownout
+ * configurations and both sim cores, with the harness's five
+ * invariants — conservation, core agreement, thread independence,
+ * termination and exact recovery — checked on every run.  The
+ * ctest TIMEOUT property on this binary is the backstop for a hung
+ * loop (invariant 4).
  *
  * Seeds fan out over the ThreadPool; gtest assertions are not
  * thread-safe, so workers return failure strings and the main
@@ -29,337 +21,39 @@
 
 #include <gtest/gtest.h>
 
+#include "chaos_harness.hh"
 #include "common/thread_pool.hh"
-#include "fault/fault_server.hh"
-#include "fleet/fleet_sim.hh"
-#include "obs/obs.hh"
-#include "obs/report.hh"
-#include "serve/workload.hh"
 
-namespace transfusion::fleet
+namespace transfusion::bench::chaos
 {
 namespace
 {
 
-constexpr int kSeeds = 70;      ///< x3 replica schedules per seed
-constexpr int kReplicas = 3;
-constexpr int kChipsPerReplica = 2;
-
-/** Cheap calibration knobs (cost tables are cached process-wide,
- *  so every fleet construction after the first is cheap). */
-serve::ServeOptions
-fastServe(serve::SimCoreKind core)
-{
-    serve::ServeOptions o;
-    o.strategy = schedule::StrategyKind::TransFusion;
-    o.max_batch = 4;
-    o.cost.cache_samples = 3;
-    o.cost.prefill_samples = 3;
-    o.cost.evaluator.mcts.iterations = 32;
-    o.core = core;
-    return o;
-}
-
-/** Per-seed fleet configuration: health on even seeds, brownout on
- *  every third, so detector paths chaos-test alongside plain
- *  failover — under BOTH loop cores and BOTH thread counts. */
-FleetOptions
-fleetOptions(std::uint64_t seed, serve::SimCoreKind core,
-             int threads)
-{
-    FleetOptions o;
-    o.serve = fastServe(core);
-    o.core = core;
-    o.threads = threads;
-    o.plan_threads = 1;
-    if (seed % 2 == 0) {
-        o.health.enabled = true;
-        o.health.alpha = 0.5;
-        o.health.depth_breach =
-            3.0 + static_cast<double>(seed % 5);
-        o.health.breach_streak = 2;
-        o.health.cooldown_updates = 3;
-        o.health.probe_updates = 2;
-    }
-    if (seed % 3 == 0) {
-        o.brownout.enabled = true;
-        o.brownout.alpha = 0.5;
-        o.brownout.pressure_depth =
-            3.0 + static_cast<double>(seed % 4);
-        o.brownout.release_depth = 1.0;
-        o.brownout.pressure_streak = 2;
-        o.brownout.relief_streak = 2;
-        o.brownout.min_priority = 1;
-    }
-    return o;
-}
-
-/** Mixed-kind randomized schedule shape for one replica. */
-fault::FaultScheduleOptions
-scheduleOptions(std::uint64_t seed)
-{
-    fault::FaultScheduleOptions o;
-    o.incidents = static_cast<int>(seed % 5); // 0 = fault-free
-    o.horizon_s = 2.0 + static_cast<double>(seed % 4);
-    o.mean_outage_s = 0.2 + static_cast<double>(seed % 3) * 0.4;
-    o.link_degrade_prob = static_cast<double>(seed % 3) * 0.2;
-    o.slowdown_prob = static_cast<double>((seed / 3) % 3) * 0.25;
-    o.mean_slowdown_s = 0.5 + static_cast<double>(seed % 2);
-    o.max_multiplier = 2.0 + static_cast<double>(seed % 3);
-    o.slowdown_group = 1 + static_cast<int>(seed % 2);
-    return o;
-}
-
-std::vector<serve::Request>
-chaosTrace(std::uint64_t seed)
-{
-    serve::WorkloadOptions wl;
-    wl.arrival_per_s =
-        (seed % 3 == 0) ? 100.0 : (seed % 3 == 1 ? 20.0 : 5.0);
-    wl.requests = 10 + static_cast<std::int64_t>(seed % 8);
-    wl.prompt = { 128, 256 };
-    wl.output = { 16, 32 };
-    auto trace = serve::generateWorkload(wl, seed);
-    // Two priority classes so an active brownout has a floor to
-    // shed against.
-    for (auto &r : trace)
-        r.priority = r.id % 2 == 0 ? 1 : 0;
-    return trace;
-}
-
-/** Bitwise comparison of two fleet replays; empty string = equal.
- *  Free-function (not EXPECT_*) so workers can call it. */
-std::string
-diffFleetMetrics(const FleetMetrics &a, const FleetMetrics &b)
-{
-    std::ostringstream os;
-#define TF_CHAOS_FIELD(f)                                            \
-    if (a.f != b.f)                                                  \
-        os << #f << " " << a.f << " vs " << b.f << "; ";
-    TF_CHAOS_FIELD(offered)
-    TF_CHAOS_FIELD(completed)
-    TF_CHAOS_FIELD(rejected)
-    TF_CHAOS_FIELD(generated_tokens)
-    TF_CHAOS_FIELD(routed)
-    TF_CHAOS_FIELD(held_rejected)
-    TF_CHAOS_FIELD(replica_downs)
-    TF_CHAOS_FIELD(replica_ups)
-    TF_CHAOS_FIELD(slowdown_transitions)
-    TF_CHAOS_FIELD(breaker_opens)
-    TF_CHAOS_FIELD(breaker_reopens)
-    TF_CHAOS_FIELD(breaker_closes)
-    TF_CHAOS_FIELD(breaker_open_s)
-    TF_CHAOS_FIELD(brownout_activations)
-    TF_CHAOS_FIELD(brownout_sheds)
-    TF_CHAOS_FIELD(brownout_s)
-    TF_CHAOS_FIELD(failover_drained)
-    TF_CHAOS_FIELD(failover_reroutes)
-    TF_CHAOS_FIELD(failover_exhausted)
-    TF_CHAOS_FIELD(failover_wasted_tokens)
-    TF_CHAOS_FIELD(autoscaler_ticks)
-    TF_CHAOS_FIELD(scale_ups)
-    TF_CHAOS_FIELD(scale_downs)
-    TF_CHAOS_FIELD(peak_serving)
-    TF_CHAOS_FIELD(makespan_s)
-    TF_CHAOS_FIELD(completed_per_second)
-    TF_CHAOS_FIELD(energy_j)
-    TF_CHAOS_FIELD(chip_seconds)
-#undef TF_CHAOS_FIELD
-    if (a.replicas.size() != b.replicas.size()) {
-        os << "replica count " << a.replicas.size() << " vs "
-           << b.replicas.size() << "; ";
-    } else {
-        for (std::size_t i = 0; i < a.replicas.size(); ++i) {
-            const auto &ra = a.replicas[i];
-            const auto &rb = b.replicas[i];
-            if (ra.offered != rb.offered
-                || ra.completed != rb.completed
-                || ra.rejected != rb.rejected
-                || ra.generated_tokens != rb.generated_tokens
-                || ra.makespan_s != rb.makespan_s)
-                os << "replica " << i << " ledger differs; ";
-        }
-    }
-    if (a.latency_s.count() != b.latency_s.count())
-        os << "latency count differs; ";
-    if (a.queue_wait_s.count() != b.queue_wait_s.count())
-        os << "queue wait count differs; ";
-    return os.str();
-}
-
-/** One replay inside its own registry; the report string rides
- *  along so core/thread agreement covers the observable record. */
-struct Replay
-{
-    FleetMetrics metrics;
-    std::string report;
-};
-
-Replay
-replay(const FleetSimulator &fleet,
-       const std::vector<serve::Request> &trace,
-       const FleetRunOptions &run)
-{
-    obs::Registry reg;
-    Replay r;
-    {
-        obs::ScopedRegistry scope(reg);
-        r.metrics = fleet.run(trace, run);
-    }
-    r.report = obs::RunReport::capture(reg).toString();
-    return r;
-}
-
-/** All five invariants for one seed; empty string = pass. */
-std::string
-runSeed(std::uint64_t seed)
-{
-    const auto cluster = multichip::edgeCluster(kChipsPerReplica);
-    const auto cfg = model::t5Small();
-    serve::WorkloadOptions wl; // simulator workload envelope
-    wl.prompt = { 128, 256 };
-    wl.output = { 16, 32 };
-    const multichip::ShardSpec spec{ kChipsPerReplica, 1 };
-
-    const auto trace = chaosTrace(seed);
-    FleetRunOptions run;
-    const auto policies = allPolicies();
-    run.policy = policies[seed % policies.size()];
-    run.seed = seed;
-    run.faults.resize(kReplicas);
-    for (int r = 0; r < kReplicas; ++r)
-        run.faults[static_cast<std::size_t>(r)] =
-            fault::generateFaultSchedule(
-                scheduleOptions(seed + static_cast<std::uint64_t>(r)),
-                kChipsPerReplica,
-                seed * 31 + static_cast<std::uint64_t>(r));
-
-    const auto fleetFor = [&](serve::SimCoreKind core,
-                              int threads) {
-        return FleetSimulator::uniform(
-            kReplicas, cluster, spec, cfg, wl,
-            fleetOptions(seed, core, threads));
-    };
-    // Invariant 4 (termination) is every one of these returning.
-    const Replay legacy1 =
-        replay(fleetFor(serve::SimCoreKind::Legacy, 1), trace, run);
-    const Replay event1 = replay(
-        fleetFor(serve::SimCoreKind::EventHeap, 1), trace, run);
-    const Replay event4 = replay(
-        fleetFor(serve::SimCoreKind::EventHeap, 4), trace, run);
-
-    std::ostringstream err;
-    // Invariant 1: conservation (run() also self-asserts).
-    for (const Replay *r : { &legacy1, &event1, &event4 }) {
-        if (r->metrics.completed + r->metrics.rejected
-            != r->metrics.offered)
-            err << "conservation leak; ";
-        for (const auto &rep : r->metrics.replicas)
-            if (rep.completed + rep.rejected != rep.offered)
-                err << "replica conservation leak; ";
-    }
-    // Invariant 2: legacy vs event-heap, bitwise.
-    const std::string cores =
-        diffFleetMetrics(legacy1.metrics, event1.metrics);
-    if (!cores.empty())
-        err << "legacy-vs-event: " << cores;
-    if (legacy1.report != event1.report)
-        err << "legacy-vs-event report differs; ";
-    // Invariant 3: threads 1 vs 4, bitwise.
-    const std::string threads =
-        diffFleetMetrics(event1.metrics, event4.metrics);
-    if (!threads.empty())
-        err << "threads-1v4: " << threads;
-    if (event1.report != event4.report)
-        err << "threads-1v4 report differs; ";
-
-    // Invariant 5: a fault-tolerant server replay of replica 0's
-    // schedule that applied every event (the trace outlived the
-    // faults) must end on the exact initial spec — generated
-    // schedules pair every fault with a recovery.
-    fault::FaultServeOptions fo;
-    fo.serve = fastServe(serve::SimCoreKind::EventHeap);
-    fo.initial_spec = spec;
-    fo.plan_threads = 1;
-    const fault::FaultTolerantServer server(cluster, cfg, wl, fo);
-    fault::FaultServeMetrics sm;
-    {
-        obs::Registry reg;
-        obs::ScopedRegistry scope(reg);
-        sm = server.run(trace, run.faults[0]);
-    }
-    if (sm.fault_events
-        == static_cast<std::int64_t>(run.faults[0].events.size())
-        && !sm.windows.empty()) {
-        // Losses and slowdowns are generated paired, so the final
-        // window always runs every chip at full speed.  Link
-        // degrades have no paired recovery: the exact-spec restore
-        // only applies when the fabric ended at full bandwidth.
-        double final_link = 1.0;
-        for (const auto &e : run.faults[0].events)
-            if (e.kind == fault::FaultKind::LinkDegrade)
-                final_link = e.factor;
-        const auto &last = sm.windows.back();
-        if (last.chips != kChipsPerReplica
-            || last.slowdown != 1.0
-            || last.link_scale != final_link)
-            err << "recovery left the final window degraded "
-                   "(chips "
-                << last.chips << " slowdown " << last.slowdown
-                << " link " << last.link_scale << "); ";
-        if (final_link == 1.0
-            && (last.spec.tp != spec.tp
-                || last.spec.pp != spec.pp))
-            err << "recovery did not restore the initial spec "
-                   "(tp "
-                << last.spec.tp << " pp " << last.spec.pp
-                << "); ";
-    }
-    if (sm.serve.completed + sm.serve.rejected != sm.serve.offered)
-        err << "server conservation leak; ";
-
-    const std::string e = err.str();
-    return e.empty() ? e
-                     : "seed " + std::to_string(seed) + ": " + e;
-}
+constexpr int kSeeds = 70; ///< x kReplicas schedules per seed
 
 TEST(Chaos, InvariantsHoldAcrossSeededFaultSchedules)
 {
     // Warm the process-wide cost-table cache once so the parallel
     // constructions below don't race to calibrate.
-    (void)FleetSimulator::uniform(
-        1, multichip::edgeCluster(kChipsPerReplica),
-        multichip::ShardSpec{ kChipsPerReplica, 1 },
-        model::t5Small(),
-        []() {
-            serve::WorkloadOptions wl;
-            wl.prompt = { 128, 256 };
-            wl.output = { 16, 32 };
-            return wl;
-        }(),
-        fleetOptions(1, serve::SimCoreKind::EventHeap, 1));
+    warmCostTables();
 
     std::vector<std::uint64_t> seeds;
     for (int s = 1; s <= kSeeds; ++s)
         seeds.push_back(static_cast<std::uint64_t>(s));
     ThreadPool pool(0);
-    const std::vector<std::string> results =
-        parallelMap(pool, seeds, [&](const std::uint64_t &seed) {
+    const std::vector<SeedResult> results =
+        parallelMap(pool, seeds, [](const std::uint64_t &seed) {
             return runSeed(seed);
         });
-    std::vector<std::string> failures;
-    for (const std::string &r : results)
-        if (!r.empty())
-            failures.push_back(r);
-    EXPECT_TRUE(failures.empty()) << [&]() {
-        std::ostringstream os;
-        for (const auto &f : failures)
-            os << f << "\n";
-        return os.str();
-    }();
+    std::ostringstream failures;
+    for (const SeedResult &r : results)
+        if (!r.failure.empty())
+            failures << "seed " << r.seed << ": " << r.failure
+                     << "\n";
+    EXPECT_EQ(failures.str(), "");
     // The sweep really covered the advertised schedule count.
     EXPECT_GE(kSeeds * kReplicas, 200);
 }
 
 } // namespace
-} // namespace transfusion::fleet
+} // namespace transfusion::bench::chaos

@@ -120,6 +120,33 @@ TEST(CostTableCache, HitReplaysTheBuildObservability)
     EXPECT_EQ(miss_snap.counters.size(), hit_snap.counters.size());
 }
 
+TEST(CostTableCache, HitReplaysTimerCountsNotBuildTime)
+{
+    auto &cache = CostTableCache::instance();
+    const std::string key = "test/hit-replays-timer-counts";
+
+    const auto build = [&]() {
+        obs::currentRegistry().timerRecord("t", 0.5);
+        return 1;
+    };
+    obs::Registry miss_reg;
+    {
+        obs::ScopedRegistry scope(miss_reg);
+        (void)cache.getOrBuild<int>(key, build);
+    }
+    obs::Registry hit_reg;
+    {
+        obs::ScopedRegistry scope(hit_reg);
+        (void)cache.getOrBuild<int>(key, build);
+    }
+    // The miss records the build's real duration; the hit keeps
+    // the sample count (what RunReports export) but took no time.
+    EXPECT_EQ(miss_reg.snapshot().timers.at("t").sum(), 0.5);
+    const Histogram hit = hit_reg.snapshot().timers.at("t");
+    EXPECT_EQ(hit.count(), 1u);
+    EXPECT_EQ(hit.sum(), 0.0);
+}
+
 TEST(CostTableCache, TypeConfusionIsFatalNotReinterpreted)
 {
     auto &cache = CostTableCache::instance();

@@ -12,6 +12,7 @@
 
 #include "common/logging.hh"
 #include "fault/fault_server.hh"
+#include "metrics_diff.hh"
 #include "obs/obs.hh"
 #include "obs/report.hh"
 #include "serve/workload.hh"
@@ -46,30 +47,6 @@ fastOptions()
     return o;
 }
 
-/** Field-wise bitwise equality of two serve ledgers. */
-void
-expectSameServeMetrics(const serve::ServeMetrics &a,
-                       const serve::ServeMetrics &b)
-{
-    EXPECT_EQ(a.offered, b.offered);
-    EXPECT_EQ(a.completed, b.completed);
-    EXPECT_EQ(a.rejected, b.rejected);
-    EXPECT_EQ(a.generated_tokens, b.generated_tokens);
-    EXPECT_EQ(a.prefill_rounds, b.prefill_rounds);
-    EXPECT_EQ(a.decode_rounds, b.decode_rounds);
-    EXPECT_EQ(a.peak_running, b.peak_running);
-    EXPECT_EQ(a.peak_queue, b.peak_queue);
-    EXPECT_EQ(a.peak_reserved_words, b.peak_reserved_words);
-    EXPECT_EQ(a.kv_capacity_words, b.kv_capacity_words);
-    EXPECT_EQ(a.makespan_s, b.makespan_s); // bitwise
-    EXPECT_EQ(a.tokens_per_second, b.tokens_per_second);
-    EXPECT_EQ(a.ttft_s.count(), b.ttft_s.count());
-    EXPECT_EQ(a.latency_s.count(), b.latency_s.count());
-    if (!a.latency_s.empty() && !b.latency_s.empty()) {
-        EXPECT_EQ(a.latency_s.max(), b.latency_s.max());
-    }
-}
-
 TEST(FaultServer, EmptyScheduleIsBitIdenticalToShardedServing)
 {
     const auto cluster = multichip::edgeCluster(2);
@@ -95,7 +72,7 @@ TEST(FaultServer, EmptyScheduleIsBitIdenticalToShardedServing)
         base = baseline_sim.run(trace);
     }
 
-    expectSameServeMetrics(faulted.serve, base);
+    EXPECT_EQ(bench::diffServeMetrics(faulted.serve, base), "");
     EXPECT_EQ(faulted.fault_events, 0);
     EXPECT_EQ(faulted.retries, 0);
     EXPECT_EQ(faulted.replans, 0);
@@ -171,7 +148,8 @@ TEST(FaultServer, ReplanIsBitIdenticalAcrossThreadCounts)
         const FaultTolerantServer server(cluster, cfg, wl, opts);
         runs.push_back(server.run(trace, faults));
     }
-    expectSameServeMetrics(runs[0].serve, runs[1].serve);
+    EXPECT_EQ(
+        bench::diffServeMetrics(runs[0].serve, runs[1].serve), "");
     EXPECT_EQ(runs[0].retries, runs[1].retries);
     EXPECT_EQ(runs[0].evictions, runs[1].evictions);
     EXPECT_EQ(runs[0].degraded_s, runs[1].degraded_s); // bitwise
@@ -319,7 +297,7 @@ TEST(FaultServer, ChipSlowdownDegradesWithoutReplanOrEviction)
     }
     // The degraded replay is deterministic.
     const auto again = server.run(trace, faults);
-    expectSameServeMetrics(m.serve, again.serve);
+    EXPECT_EQ(bench::diffServeMetrics(m.serve, again.serve), "");
 }
 
 TEST(FaultServer, SlowdownComposesWithALossOnAnotherChip)

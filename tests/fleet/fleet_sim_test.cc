@@ -14,6 +14,7 @@
 #include "common/logging.hh"
 #include "fault/fault_server.hh"
 #include "fleet/fleet_sim.hh"
+#include "metrics_diff.hh"
 #include "obs/obs.hh"
 #include "obs/report.hh"
 #include "serve/workload.hh"
@@ -57,59 +58,6 @@ fastFleet()
     return o;
 }
 
-/** Field-wise bitwise equality of two serve ledgers. */
-void
-expectSameServeMetrics(const serve::ServeMetrics &a,
-                       const serve::ServeMetrics &b)
-{
-    EXPECT_EQ(a.offered, b.offered);
-    EXPECT_EQ(a.completed, b.completed);
-    EXPECT_EQ(a.rejected, b.rejected);
-    EXPECT_EQ(a.generated_tokens, b.generated_tokens);
-    EXPECT_EQ(a.prefill_rounds, b.prefill_rounds);
-    EXPECT_EQ(a.decode_rounds, b.decode_rounds);
-    EXPECT_EQ(a.peak_running, b.peak_running);
-    EXPECT_EQ(a.peak_queue, b.peak_queue);
-    EXPECT_EQ(a.peak_reserved_words, b.peak_reserved_words);
-    EXPECT_EQ(a.kv_capacity_words, b.kv_capacity_words);
-    EXPECT_EQ(a.makespan_s, b.makespan_s); // bitwise
-    EXPECT_EQ(a.tokens_per_second, b.tokens_per_second);
-    EXPECT_EQ(a.ttft_s.count(), b.ttft_s.count());
-    EXPECT_EQ(a.latency_s.count(), b.latency_s.count());
-    if (!a.latency_s.empty() && !b.latency_s.empty()) {
-        EXPECT_EQ(a.latency_s.max(), b.latency_s.max());
-    }
-}
-
-/** Field-wise equality of two fleet replays (bitwise doubles). */
-void
-expectSameFleetMetrics(const FleetMetrics &a, const FleetMetrics &b)
-{
-    ASSERT_EQ(a.replicas.size(), b.replicas.size());
-    for (std::size_t i = 0; i < a.replicas.size(); ++i)
-        expectSameServeMetrics(a.replicas[i], b.replicas[i]);
-    EXPECT_EQ(a.offered, b.offered);
-    EXPECT_EQ(a.completed, b.completed);
-    EXPECT_EQ(a.rejected, b.rejected);
-    EXPECT_EQ(a.generated_tokens, b.generated_tokens);
-    EXPECT_EQ(a.routed, b.routed);
-    EXPECT_EQ(a.held_rejected, b.held_rejected);
-    EXPECT_EQ(a.replica_downs, b.replica_downs);
-    EXPECT_EQ(a.replica_ups, b.replica_ups);
-    EXPECT_EQ(a.failover_drained, b.failover_drained);
-    EXPECT_EQ(a.failover_reroutes, b.failover_reroutes);
-    EXPECT_EQ(a.failover_exhausted, b.failover_exhausted);
-    EXPECT_EQ(a.failover_wasted_tokens, b.failover_wasted_tokens);
-    EXPECT_EQ(a.autoscaler_ticks, b.autoscaler_ticks);
-    EXPECT_EQ(a.scale_ups, b.scale_ups);
-    EXPECT_EQ(a.scale_downs, b.scale_downs);
-    EXPECT_EQ(a.peak_serving, b.peak_serving);
-    EXPECT_EQ(a.makespan_s, b.makespan_s); // bitwise
-    EXPECT_EQ(a.completed_per_second, b.completed_per_second);
-    EXPECT_EQ(a.latency_s.count(), b.latency_s.count());
-    EXPECT_EQ(a.queue_wait_s.count(), b.queue_wait_s.count());
-}
-
 TEST(FleetSim, PassThroughFleetIsBitIdenticalToFaultServer)
 {
     const auto cluster = multichip::edgeCluster(2);
@@ -124,8 +72,8 @@ TEST(FleetSim, PassThroughFleetIsBitIdenticalToFaultServer)
     const fault::FaultTolerantServer server(cluster, cfg, wl, fo);
 
     auto fl = fastFleet();
-    const FleetSimulator fleet(
-        { ReplicaConfig{ cluster, { 2, 1 } } }, cfg, wl, fl);
+    const auto fleet =
+        FleetSimulator::uniform(1, cluster, { 2, 1 }, cfg, wl, fl);
 
     obs::Registry fleet_reg;
     FleetMetrics fm;
@@ -144,7 +92,7 @@ TEST(FleetSim, PassThroughFleetIsBitIdenticalToFaultServer)
 
     // The single replica's ledger IS the fault server's ledger.
     ASSERT_EQ(fm.replicas.size(), 1u);
-    expectSameServeMetrics(fm.replicas[0], sm.serve);
+    EXPECT_EQ(bench::diffServeMetrics(fm.replicas[0], sm.serve), "");
     EXPECT_EQ(fm.offered, sm.serve.offered);
     EXPECT_EQ(fm.completed, sm.serve.completed);
     EXPECT_EQ(fm.rejected, sm.serve.rejected);
@@ -304,7 +252,7 @@ TEST(FleetSim, AutoscalerActivatesReplicasUnderABurst)
     EXPECT_GT(active_replicas, 1);
 
     // Determinism: the autoscaled replay reproduces bit for bit.
-    expectSameFleetMetrics(m, fleet.run(trace, run));
+    EXPECT_EQ(bench::diffFleetMetrics(m, fleet.run(trace, run)), "");
 }
 
 TEST(FleetSim, EveryPolicyIsBitIdenticalAcrossThreadCounts)
@@ -351,12 +299,31 @@ TEST(FleetSim, EveryPolicyIsBitIdenticalAcrossThreadCounts)
             m4 = fleet4.run(trace, run);
         }
         SCOPED_TRACE("policy " + toString(policy));
-        expectSameFleetMetrics(m1, m4);
+        EXPECT_EQ(bench::diffFleetMetrics(m1, m4), "");
         // The full observable record — per-replica prefixed serve
         // metrics and fleet counters — is bit-identical too.
         EXPECT_EQ(obs::RunReport::capture(reg1).toString(),
                   obs::RunReport::capture(reg4).toString());
     }
+}
+
+TEST(MetricsDiff, HistogramsCompareInRecordedOrderWithoutSorting)
+{
+    // Same sample set, different recorded order: every order
+    // statistic matches, but the sums (added in recorded order)
+    // are 0 and 1.
+    serve::ServeMetrics a, b;
+    for (const double v : { 1e16, 1.0, -1e16 })
+        a.latency_s.add(v);
+    for (const double v : { 1e16, -1e16, 1.0 })
+        b.latency_s.add(v);
+    EXPECT_NE(bench::diffServeMetrics(a, b), "");
+    // The comparator queried percentiles, yet the caller's samples
+    // are still in recorded order, so the check repeats unchanged.
+    EXPECT_EQ(a.latency_s.sum(), 0.0);
+    EXPECT_EQ(b.latency_s.sum(), 1.0);
+    EXPECT_NE(bench::diffServeMetrics(a, b), "");
+    EXPECT_EQ(bench::diffServeMetrics(a, a), "");
 }
 
 TEST(FleetSim, UniformFleetSharesOneCalibratedSimulator)
@@ -367,10 +334,7 @@ TEST(FleetSim, UniformFleetSharesOneCalibratedSimulator)
     const auto fleet =
         FleetSimulator::uniform(3, cluster, cfg, wl, fastFleet());
     EXPECT_EQ(fleet.replicaCount(), 3);
-    // One calibration shared by every slot, not three copies.
-    EXPECT_EQ(&fleet.replicaSimulator(0), &fleet.replicaSimulator(1));
-    EXPECT_EQ(&fleet.replicaSimulator(1), &fleet.replicaSimulator(2));
-    EXPECT_EQ(fleet.replicaSpec(0).chips(), cluster.size());
+    EXPECT_EQ(fleet.spec().chips(), cluster.size());
 }
 
 TEST(FleetSim, SlowdownDegradesThroughputWithoutDroppingWork)
@@ -408,7 +372,7 @@ TEST(FleetSim, SlowdownDegradesThroughputWithoutDroppingWork)
     EXPECT_EQ(m.completed, m.offered);
     EXPECT_GT(m.makespan_s, healthy.makespan_s);
     // And the degraded replay is itself deterministic.
-    expectSameFleetMetrics(m, fleet.run(trace, run));
+    EXPECT_EQ(bench::diffFleetMetrics(m, fleet.run(trace, run)), "");
 }
 
 TEST(FleetSim, BreakerRoutesAroundASlowedReplica)
@@ -456,7 +420,7 @@ TEST(FleetSim, BreakerRoutesAroundASlowedReplica)
     ASSERT_EQ(m.replicas.size(), 2u);
     EXPECT_GT(m.replicas[1].completed, m.replicas[0].completed);
     // Detection is deterministic too.
-    expectSameFleetMetrics(m, fleet.run(trace, run));
+    EXPECT_EQ(bench::diffFleetMetrics(m, fleet.run(trace, run)), "");
 }
 
 TEST(FleetSim, BrownoutShedsOnlyTheLowPriorityClass)
@@ -496,7 +460,7 @@ TEST(FleetSim, BrownoutShedsOnlyTheLowPriorityClass)
     // Everything that was not shed (or overflow-shed by the
     // replica) completed.
     EXPECT_GT(m.completed, 0);
-    expectSameFleetMetrics(m, fleet.run(trace, run));
+    EXPECT_EQ(bench::diffFleetMetrics(m, fleet.run(trace, run)), "");
 }
 
 TEST(FleetSim, SimultaneousMultiReplicaLossFailsOverToSurvivors)
@@ -543,7 +507,7 @@ TEST(FleetSim, SimultaneousMultiReplicaLossFailsOverToSurvivors)
                   + survivors);
     EXPECT_GT(survivors, healthy.replicas[2].completed
                              + healthy.replicas[3].completed);
-    expectSameFleetMetrics(m, fleet.run(trace, run));
+    EXPECT_EQ(bench::diffFleetMetrics(m, fleet.run(trace, run)), "");
 }
 
 TEST(FleetSim, MalformedRunsAreFatal)
@@ -565,8 +529,9 @@ TEST(FleetSim, MalformedRunsAreFatal)
     EXPECT_THROW(fleet.run(trace, {}), FatalError);
 
     // An empty fleet cannot be built.
-    EXPECT_THROW(FleetSimulator({}, cfg, wl, fastFleet()),
-                 FatalError);
+    EXPECT_THROW(
+        FleetSimulator::uniform(0, cluster, cfg, wl, fastFleet()),
+        FatalError);
 }
 
 } // namespace

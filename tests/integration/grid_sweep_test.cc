@@ -4,11 +4,16 @@
  * must hold at every (architecture, model, sequence) point the
  * benches visit -- positive metrics, roofline consistency, work
  * conservation between FuseMax and TransFusion, the strategy
- * ordering, and feasibility of the chosen tiles.
+ * ordering, and feasibility of the chosen tiles.  The paper's
+ * qualitative claims -- the strict strategy ordering and latency
+ * growing with sequence length -- are asserted over the full
+ * headline grid.
  */
 
 #include <gtest/gtest.h>
 
+#include "bench_util.hh"
+#include "schedule/sweep.hh"
 #include "schedule/tiling.hh"
 #include "sim/compare.hh"
 
@@ -108,6 +113,49 @@ INSTANTIATE_TEST_SUITE_P(
         GridPoint{ "edge32", "Llama3", 1 << 12 },
         GridPoint{ "edge64", "T5", 1 << 14 },
         GridPoint{ "edge64", "Llama3", 1 << 16 }));
+
+/**
+ * The headline grid (cloud/edge x every model x the paper's
+ * sequence sweep), evaluated exactly as headline_geomean does:
+ * at every point latency orders Unfused > FLAT > FuseMax >=
+ * FuseMax+LayerFuse > TransFusion, and every (arch, model,
+ * strategy) series grows strictly with sequence length.
+ */
+TEST(PaperClaims, OrderingAndSequenceTrendsHoldOnTheHeadlineGrid)
+{
+    const schedule::Sweep sweep(bench::sweepOptions());
+    const std::vector<std::int64_t> seqs = sim::paperSequenceSweep();
+    const auto metrics = sweep.run(schedule::Sweep::grid(
+        { arch::cloudArch(), arch::edgeArch() }, model::allModels(),
+        seqs));
+    ASSERT_EQ(metrics.size(), 2 * model::allModels().size()
+                                  * seqs.size());
+
+    for (std::size_t i = 0; i < metrics.size(); ++i) {
+        const schedule::StrategyMetrics &m = metrics[i];
+        SCOPED_TRACE(m.point.label());
+        const auto latency = [&](StrategyKind kind) {
+            return m.at(kind).total.latency_s;
+        };
+        EXPECT_GT(latency(StrategyKind::Unfused),
+                  latency(StrategyKind::Flat));
+        EXPECT_GT(latency(StrategyKind::Flat),
+                  latency(StrategyKind::FuseMax));
+        EXPECT_GE(latency(StrategyKind::FuseMax),
+                  latency(StrategyKind::FuseMaxLayerFuse));
+        EXPECT_GT(latency(StrategyKind::FuseMaxLayerFuse),
+                  latency(StrategyKind::TransFusion));
+
+        // The grid is (arch, model)-major with S ascending, so the
+        // previous point is the same series at the next-shorter S.
+        if (i % seqs.size() == 0)
+            continue;
+        for (const StrategyKind kind : schedule::allStrategies())
+            EXPECT_LT(metrics[i - 1].at(kind).total.latency_s,
+                      latency(kind))
+                << toString(kind);
+    }
+}
 
 } // namespace
 } // namespace transfusion

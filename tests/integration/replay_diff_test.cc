@@ -25,6 +25,7 @@
 
 #include "costmodel/cost_table_cache.hh"
 #include "fleet/fleet_sim.hh"
+#include "metrics_diff.hh"
 #include "obs/obs.hh"
 #include "obs/report.hh"
 #include "serve/workload.hh"
@@ -57,7 +58,6 @@ fleetOptions(serve::SimCoreKind core)
     o.serve.cost.cache_samples = 3;
     o.serve.cost.prefill_samples = 3;
     o.serve.cost.evaluator.mcts.iterations = 32;
-    o.core = core;
     o.threads = 1;
     o.plan_threads = 1;
     return o;
@@ -99,82 +99,6 @@ faultCases()
     cases.push_back({ "chip-loss", { {}, loss } });
     cases.push_back({ "link-degrade", { degrade } });
     return cases;
-}
-
-/** Histograms carry the raw samples; equal counts, bitwise-equal
- *  sums, and bitwise-equal order statistics pin the sample sets. */
-void
-expectSameHistogram(const Histogram &a, const Histogram &b,
-                    const std::string &what)
-{
-    SCOPED_TRACE(what);
-    ASSERT_EQ(a.count(), b.count());
-    EXPECT_EQ(a.sum(), b.sum());
-    for (const double p : { 0.0, 25.0, 50.0, 75.0, 99.0, 100.0 })
-        EXPECT_EQ(a.percentileOr(p, -1.0), b.percentileOr(p, -1.0))
-            << "p" << p;
-}
-
-void
-expectSameServeMetrics(const serve::ServeMetrics &a,
-                       const serve::ServeMetrics &b)
-{
-    EXPECT_EQ(a.offered, b.offered);
-    EXPECT_EQ(a.completed, b.completed);
-    EXPECT_EQ(a.rejected, b.rejected);
-    EXPECT_EQ(a.generated_tokens, b.generated_tokens);
-    EXPECT_EQ(a.prefill_rounds, b.prefill_rounds);
-    EXPECT_EQ(a.decode_rounds, b.decode_rounds);
-    EXPECT_EQ(a.peak_running, b.peak_running);
-    EXPECT_EQ(a.peak_queue, b.peak_queue);
-    EXPECT_EQ(a.peak_reserved_words, b.peak_reserved_words);
-    EXPECT_EQ(a.kv_capacity_words, b.kv_capacity_words);
-    EXPECT_EQ(a.makespan_s, b.makespan_s);
-    EXPECT_EQ(a.tokens_per_second, b.tokens_per_second);
-    EXPECT_EQ(a.prefill_energy_j, b.prefill_energy_j);
-    EXPECT_EQ(a.decode_energy_j, b.decode_energy_j);
-    EXPECT_EQ(a.chip_seconds, b.chip_seconds);
-    expectSameHistogram(a.ttft_s, b.ttft_s, "ttft");
-    expectSameHistogram(a.tpot_s, b.tpot_s, "tpot");
-    expectSameHistogram(a.latency_s, b.latency_s, "latency");
-    expectSameHistogram(a.queue_wait_s, b.queue_wait_s,
-                        "queue_wait");
-}
-
-void
-expectSameFleetMetrics(const fleet::FleetMetrics &a,
-                       const fleet::FleetMetrics &b)
-{
-    EXPECT_EQ(a.offered, b.offered);
-    EXPECT_EQ(a.completed, b.completed);
-    EXPECT_EQ(a.rejected, b.rejected);
-    EXPECT_EQ(a.generated_tokens, b.generated_tokens);
-    EXPECT_EQ(a.routed, b.routed);
-    EXPECT_EQ(a.held_rejected, b.held_rejected);
-    EXPECT_EQ(a.replica_downs, b.replica_downs);
-    EXPECT_EQ(a.replica_ups, b.replica_ups);
-    EXPECT_EQ(a.failover_drained, b.failover_drained);
-    EXPECT_EQ(a.failover_reroutes, b.failover_reroutes);
-    EXPECT_EQ(a.failover_exhausted, b.failover_exhausted);
-    EXPECT_EQ(a.failover_wasted_tokens, b.failover_wasted_tokens);
-    EXPECT_EQ(a.autoscaler_ticks, b.autoscaler_ticks);
-    EXPECT_EQ(a.scale_ups, b.scale_ups);
-    EXPECT_EQ(a.scale_downs, b.scale_downs);
-    EXPECT_EQ(a.peak_serving, b.peak_serving);
-    EXPECT_EQ(a.makespan_s, b.makespan_s);
-    EXPECT_EQ(a.completed_per_second, b.completed_per_second);
-    EXPECT_EQ(a.energy_j, b.energy_j);
-    EXPECT_EQ(a.chip_seconds, b.chip_seconds);
-    expectSameHistogram(a.ttft_s, b.ttft_s, "fleet ttft");
-    expectSameHistogram(a.tpot_s, b.tpot_s, "fleet tpot");
-    expectSameHistogram(a.latency_s, b.latency_s, "fleet latency");
-    expectSameHistogram(a.queue_wait_s, b.queue_wait_s,
-                        "fleet queue_wait");
-    ASSERT_EQ(a.replicas.size(), b.replicas.size());
-    for (std::size_t i = 0; i < a.replicas.size(); ++i) {
-        SCOPED_TRACE("replica " + std::to_string(i));
-        expectSameServeMetrics(a.replicas[i], b.replicas[i]);
-    }
 }
 
 /** Replay under a scoped registry; return (metrics, report). */
@@ -228,7 +152,7 @@ TEST(ReplayDiff, FleetGridLegacyVsEventHeapBitwise)
                 run.faults = fc.faults;
                 const auto [ml, rl] = replay(legacy, trace, run);
                 const auto [me, re] = replay(event, trace, run);
-                expectSameFleetMetrics(ml, me);
+                EXPECT_EQ(bench::diffFleetMetrics(ml, me), "");
                 EXPECT_EQ(rl, re)
                     << obs::RunReport::diff(rl, re);
             }
@@ -258,8 +182,9 @@ TEST(ReplayDiff, ServeLegacyVsEventHeapBitwise)
     for (const std::uint64_t seed : { 1u, 7u, 23u }) {
         SCOPED_TRACE("seed " + std::to_string(seed));
         const auto trace = serve::generateWorkload(wl, seed);
-        expectSameServeMetrics(legacy.run(trace),
-                               event.run(trace));
+        EXPECT_EQ(bench::diffServeMetrics(legacy.run(trace),
+                                          event.run(trace)),
+                  "");
     }
 }
 
@@ -308,7 +233,9 @@ TEST(ReplayDiff, CostTableCacheIsObservablyTransparent)
     const auto [cached_report, cached_metrics] = build();
     EXPECT_EQ(uncached_report, cached_report)
         << obs::RunReport::diff(uncached_report, cached_report);
-    expectSameFleetMetrics(uncached_metrics, cached_metrics);
+    EXPECT_EQ(
+        bench::diffFleetMetrics(uncached_metrics, cached_metrics),
+        "");
 }
 
 } // namespace
