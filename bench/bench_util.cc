@@ -10,8 +10,10 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 
+#include "common/logging.hh"
 #include "common/math_utils.hh"
 #include "obs/report.hh"
 #include "obs/trace.hh"
@@ -119,29 +121,66 @@ flagValue(int argc, char **argv, int &i, const std::string &flag,
 }
 
 /**
- * Strictly parse an integer count in [min_value, 2^20]: the whole
- * string must be digits and in range, else usage + exit(2).  errno
- * is checked explicitly because strtoll saturates on overflow —
- * relying on the saturated value tripping the range check would
- * silently accept overflowing input if the cap were ever raised.
+ * The whole of `value` as a decimal integer in [min_value,
+ * max_value], or nothing.  errno is checked explicitly because
+ * strtoll saturates on overflow -- relying on the saturated value
+ * tripping the range check would silently accept overflowing input
+ * if a cap were ever raised.
  */
-int
-parseCount(const char *prog, const std::string &flag,
-           const std::string &value, long long min_value = 1)
+std::optional<long long>
+strictInteger(const std::string &value, long long min_value,
+              long long max_value)
 {
     char *end = nullptr;
     errno = 0;
     const long long parsed = std::strtoll(value.c_str(), &end, 10);
     if (value.empty() || end == nullptr || *end != '\0'
         || errno == ERANGE || parsed < min_value
-        || parsed > 1 << 20) {
+        || parsed > max_value) {
+        return std::nullopt;
+    }
+    return parsed;
+}
+
+/**
+ * Strictly parse an integer count in [min_value, 2^20]: the whole
+ * string must be digits and in range, else usage + exit(2).
+ */
+int
+parseCount(const char *prog, const std::string &flag,
+           const std::string &value, long long min_value = 1)
+{
+    const auto parsed = strictInteger(value, min_value, 1 << 20);
+    if (!parsed) {
         std::cerr << prog << ": " << flag << " needs a "
                   << (min_value > 0 ? "positive" : "non-negative")
                   << " integer, got '" << value << "'\n";
         printUsage(std::cerr, prog);
         std::exit(2);
     }
-    return static_cast<int>(parsed);
+    return static_cast<int>(*parsed);
+}
+
+/**
+ * Strictly parse a seed: every uint64 value, written as plain
+ * decimal digits.  strtoull alone would read "abc" as 0 and wrap
+ * "-1" to 2^64 - 1.
+ */
+std::uint64_t
+parseSeed(const char *prog, const std::string &value)
+{
+    char *end = nullptr;
+    errno = 0;
+    const unsigned long long parsed =
+        std::strtoull(value.c_str(), &end, 10);
+    if (value.empty() || value.front() < '0' || value.front() > '9'
+        || end == nullptr || *end != '\0' || errno == ERANGE) {
+        std::cerr << prog << ": --seed needs a non-negative integer "
+                  << "below 2^64, got '" << value << "'\n";
+        printUsage(std::cerr, prog);
+        std::exit(2);
+    }
+    return parsed;
 }
 
 /**
@@ -187,7 +226,7 @@ parseBenchArgs(int argc, char **argv)
             args.threads =
                 parseCount(argv[0], "--threads", value, 0);
         } else if (flagValue(argc, argv, i, "--seed", value)) {
-            args.seed = std::strtoull(value.c_str(), nullptr, 10);
+            args.seed = parseSeed(argv[0], value);
         } else if (flagValue(argc, argv, i, "--trace", value)) {
             args.trace_path = value;
         } else if (flagValue(argc, argv, i, "--report", value)) {
@@ -249,6 +288,54 @@ parseBenchArgs(int argc, char **argv)
         std::atexit(&writeObsArtifacts);
     }
     return args;
+}
+
+arch::ArchConfig
+archArg(const char *prog, const std::string &name)
+{
+    try {
+        return arch::archByName(name);
+    } catch (const FatalError &) {
+        std::cerr << prog << ": unknown architecture '" << name
+                  << "' (use cloud, edge, edge32 or edge64)\n";
+        std::exit(2);
+    }
+}
+
+model::TransformerConfig
+modelArg(const char *prog, const std::string &name)
+{
+    try {
+        return model::modelByName(name);
+    } catch (const FatalError &) {
+        std::cerr << prog << ": unknown model '" << name << "' (use";
+        const char *sep = " ";
+        for (const auto &m : model::allModels()) {
+            std::cerr << sep << m.name;
+            sep = ", ";
+        }
+        std::cerr << ")\n";
+        std::exit(2);
+    }
+}
+
+std::int64_t
+intArg(const char *prog, const std::string &what,
+       const std::string &value, std::int64_t min_value,
+       std::int64_t max_value)
+{
+    const auto parsed = strictInteger(value, min_value, max_value);
+    if (!parsed) {
+        std::cerr << prog << ": " << what << " needs an integer";
+        if (max_value == INT64_MAX)
+            std::cerr << " >= " << min_value;
+        else
+            std::cerr << " in [" << min_value << ", " << max_value
+                      << "]";
+        std::cerr << ", got '" << value << "'\n";
+        std::exit(2);
+    }
+    return *parsed;
 }
 
 void

@@ -77,13 +77,36 @@ struct BenchArgs
  * (fault-free / unlimited).  `--policy` takes a
  * fleet::parsePolicy name; an unknown name exits(2).
  * `--slo-p99-ms` is parsed just as strictly as a finite positive
- * real (trailing garbage, zero, negative, inf/nan all exit(2)).
+ * real (trailing garbage, zero, negative, inf/nan all exit(2)), and
+ * `--seed` as any uint64 in plain decimal digits.
  *
  * `--trace` starts the global obs::TraceSession immediately;
  * `--trace`/`--report` artifacts are written by an atexit hook, so
  * every bench binary emits them without extra plumbing.
  */
 BenchArgs parseBenchArgs(int argc, char **argv);
+
+/**
+ * Positional-argument helpers for the examples and benches: each
+ * either returns a valid value or prints "<prog>: <what went
+ * wrong>" to stderr and exits(2) -- an unknown name never escapes
+ * as an uncaught FatalError (exit 134), and a number is never read
+ * leniently (`abc` as 0, `4k` as 4).
+ */
+/** arch::archByName; an unknown preset exits(2). */
+arch::ArchConfig archArg(const char *prog, const std::string &name);
+/** model::modelByName; an unknown model exits(2) with the names. */
+model::TransformerConfig modelArg(const char *prog,
+                                  const std::string &name);
+/**
+ * The whole of `value` as a decimal integer in [min_value,
+ * max_value]; anything else (empty, trailing garbage, overflow,
+ * out of range) exits(2), naming the argument as `what`.
+ */
+std::int64_t intArg(const char *prog, const std::string &what,
+                    const std::string &value,
+                    std::int64_t min_value = 1,
+                    std::int64_t max_value = INT64_MAX);
 
 /** Print `t` honoring the `--csv` flag. */
 void printTable(const Table &t, const BenchArgs &args,

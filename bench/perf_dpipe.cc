@@ -1,9 +1,10 @@
 /**
  * @file
  * google-benchmark microbenchmarks of the DPipe machinery itself:
- * DAG construction, bipartition enumeration, DP scheduling, and
- * the full pipeline search -- the costs a user pays per scheduled
- * layer.
+ * DAG construction, bipartition enumeration, DP scheduling, the
+ * topology-only plan skeleton (built once per cascade topology and
+ * process), and the full pipeline search over a memoized skeleton
+ * -- the cost a user pays per scheduled layer.
  */
 
 #include <benchmark/benchmark.h>
@@ -11,6 +12,7 @@
 #include "arch/arch.hh"
 #include "dpipe/partition.hh"
 #include "dpipe/pipeline.hh"
+#include "dpipe/skeleton.hh"
 #include "model/cascades.hh"
 
 namespace
@@ -59,6 +61,23 @@ BM_DpScheduleMha(benchmark::State &state)
         benchmark::DoNotOptimize(dpipe::dpSchedule(dag, order, lat));
 }
 BENCHMARK(BM_DpScheduleMha);
+
+void
+BM_BuildPipelineSkeleton(benchmark::State &state)
+{
+    const auto kind =
+        static_cast<model::LayerKind>(state.range(0));
+    const auto dag =
+        model::buildCascade(kind, model::bertBase()).buildDag();
+    const dpipe::PipelineOptions opts;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            dpipe::buildPipelineSkeleton(dag, opts.max_orders));
+    }
+}
+BENCHMARK(BM_BuildPipelineSkeleton)
+    ->DenseRange(0, 3)
+    ->Unit(benchmark::kMicrosecond);
 
 void
 BM_SchedulePipelinePerLayer(benchmark::State &state)

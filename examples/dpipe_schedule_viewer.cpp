@@ -17,6 +17,7 @@
 #include <fstream>
 #include <iostream>
 
+#include "bench_util.hh"
 #include "common/math_utils.hh"
 #include "dpipe/pipeline.hh"
 #include "dpipe/trace.hh"
@@ -35,7 +36,7 @@ layerByName(const std::string &name)
     }
     std::cerr << "unknown layer '" << name
               << "' (use QKV, MHA, LayerNorm or FFN)\n";
-    std::exit(1);
+    std::exit(2);
 }
 
 } // namespace
@@ -48,8 +49,9 @@ main(int argc, char **argv)
     const model::LayerKind kind =
         layerByName(argc > 1 ? argv[1] : "MHA");
     const arch::ArchConfig arch =
-        arch::archByName(argc > 2 ? argv[2] : "cloud");
-    const std::int64_t seq = argc > 3 ? std::atoll(argv[3]) : 4096;
+        bench::archArg(argv[0], argc > 2 ? argv[2] : "cloud");
+    const std::int64_t seq =
+        argc > 3 ? bench::intArg(argv[0], "seq", argv[3]) : 4096;
 
     const model::TransformerConfig cfg = model::bertBase();
     const std::int64_t m0 =

@@ -10,9 +10,9 @@
  *                           [prompt=4096] [tokens=512]
  */
 
-#include <cstdlib>
 #include <iostream>
 
+#include "bench_util.hh"
 #include "common/math_utils.hh"
 #include "common/table.hh"
 #include "schedule/decode.hh"
@@ -22,14 +22,14 @@ main(int argc, char **argv)
 {
     using namespace transfusion;
 
-    const auto cfg = model::modelByName(argc > 1 ? argv[1]
-                                                 : "Llama3");
-    const auto arch = arch::archByName(argc > 2 ? argv[2]
-                                                : "cloud");
+    const auto cfg =
+        bench::modelArg(argv[0], argc > 1 ? argv[1] : "Llama3");
+    const auto arch =
+        bench::archArg(argv[0], argc > 2 ? argv[2] : "cloud");
     const std::int64_t prompt =
-        argc > 3 ? std::atoll(argv[3]) : 4096;
+        argc > 3 ? bench::intArg(argv[0], "prompt", argv[3]) : 4096;
     const std::int64_t tokens =
-        argc > 4 ? std::atoll(argv[4]) : 512;
+        argc > 4 ? bench::intArg(argv[0], "tokens", argv[4]) : 512;
 
     std::cout << "Generation plan: " << cfg.name << " on "
               << arch.toString() << "\n"

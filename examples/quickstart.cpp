@@ -8,9 +8,9 @@
  * Usage: quickstart [arch=cloud] [model=Llama3] [seq=65536]
  */
 
-#include <cstdlib>
 #include <iostream>
 
+#include "bench_util.hh"
 #include "common/math_utils.hh"
 #include "common/table.hh"
 #include "sim/compare.hh"
@@ -20,13 +20,12 @@ main(int argc, char **argv)
 {
     using namespace transfusion;
 
-    const std::string arch_name = argc > 1 ? argv[1] : "cloud";
-    const std::string model_name = argc > 2 ? argv[2] : "Llama3";
-    const std::int64_t seq = argc > 3 ? std::atoll(argv[3]) : 65536;
-
-    const arch::ArchConfig arch = arch::archByName(arch_name);
+    const arch::ArchConfig arch =
+        bench::archArg(argv[0], argc > 1 ? argv[1] : "cloud");
     const model::TransformerConfig cfg =
-        model::modelByName(model_name);
+        bench::modelArg(argv[0], argc > 2 ? argv[2] : "Llama3");
+    const std::int64_t seq =
+        argc > 3 ? bench::intArg(argv[0], "seq", argv[3]) : 65536;
 
     std::cout << "TransFusion quickstart\n"
               << "  arch:  " << arch.toString() << "\n"

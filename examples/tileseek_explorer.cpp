@@ -15,9 +15,9 @@
  *                          [threads=hardware]
  */
 
-#include <cstdlib>
 #include <iostream>
 
+#include "bench_util.hh"
 #include "common/math_utils.hh"
 #include "common/table.hh"
 #include "common/thread_pool.hh"
@@ -33,15 +33,17 @@ main(int argc, char **argv)
     using namespace transfusion;
 
     const model::TransformerConfig cfg =
-        model::modelByName(argc > 1 ? argv[1] : "Llama3");
+        bench::modelArg(argv[0], argc > 1 ? argv[1] : "Llama3");
     const arch::ArchConfig arch =
-        arch::archByName(argc > 2 ? argv[2] : "edge");
-    const std::int64_t seq = argc > 3 ? std::atoll(argv[3]) : 65536;
-    const int threads_arg =
-        argc > 4 ? std::atoi(argv[4]) : 0;
-    // 0 or unparseable means "use every core".
+        bench::archArg(argv[0], argc > 2 ? argv[2] : "edge");
+    const std::int64_t seq =
+        argc > 3 ? bench::intArg(argv[0], "seq", argv[3]) : 65536;
+    // 0 means "use every core".
+    const std::int64_t threads_arg = argc > 4
+        ? bench::intArg(argv[0], "threads", argv[4], 0, 1024)
+        : 0;
     const int threads = threads_arg > 0
-        ? threads_arg
+        ? static_cast<int>(threads_arg)
         : ThreadPool::hardwareThreads();
 
     std::cout << "TileSeek exploration: " << cfg.name << " on "

@@ -152,34 +152,150 @@ dpSchedule(const einsum::Dag &dag, const std::vector<int> &order,
     return sched;
 }
 
+OrderSet::OrderSet(const einsum::Dag &dag, std::size_t max_orders)
+    : nodes_(dag.nodeCount())
+{
+    if (nodes_ > 256)
+        tf_fatal("candidate orders over ", nodes_,
+                 " nodes do not fit byte ids");
+    pred_begin_.reserve(static_cast<std::size_t>(nodes_) + 1);
+    for (int v = 0; v < nodes_; ++v) {
+        pred_begin_.push_back(
+            static_cast<std::uint16_t>(pred_ids_.size()));
+        for (int p : dag.predecessors(v))
+            pred_ids_.push_back(static_cast<std::uint8_t>(p));
+    }
+    pred_begin_.push_back(static_cast<std::uint16_t>(pred_ids_.size()));
+
+    append(dag.topoSort());
+    if (max_orders > 1) {
+        dag.forEachTopoOrder(max_orders,
+                             [this](const std::vector<int> &order) {
+                                 append(order);
+                             });
+    }
+    ids_.shrink_to_fit();
+    shared_.shrink_to_fit();
+}
+
+void
+OrderSet::append(const std::vector<int> &order)
+{
+    // Common prefix with the previous order (the last nodes_ ids).
+    std::size_t shared = 0;
+    if (count_ > 0) {
+        const std::uint8_t *prev = ids_.data() + ids_.size() - order.size();
+        while (shared < order.size()
+               && prev[shared] == static_cast<std::uint8_t>(order[shared]))
+            ++shared;
+    }
+    shared_.push_back(static_cast<std::uint16_t>(shared));
+    for (int v : order)
+        ids_.push_back(static_cast<std::uint8_t>(v));
+    ++count_;
+}
+
+std::vector<int>
+OrderSet::orderVector(std::size_t i) const
+{
+    tf_assert(i < count_, "order ", i, " out of range");
+    const std::uint8_t *o = order(i);
+    return std::vector<int>(o, o + nodes_);
+}
+
+void
+DpSearchStats::record() const
+{
+    TF_COUNT("dpipe/dp/orders_tried", orders_tried);
+    TF_COUNT("dpipe/dp/orders_pruned", orders_pruned);
+    TF_COUNT("dpipe/dp/states_explored", states_explored);
+}
+
+OrderScore
+OrderSet::best(const std::vector<OpLatencyPair> &latency,
+               DpSearchStats &stats) const
+{
+    tf_assert(count_ > 0, "no candidate orders");
+    tf_assert(static_cast<int>(latency.size()) == nodes_,
+              "latency table must cover the DAG");
+
+    // dpSchedule's arithmetic, step for step, minus the placements:
+    // the same max/+ sequence and the same strict `<` between the
+    // arrays.  at[k] is the DP state before position k: both
+    // arrays' occupancy and the makespan so far.  An order's first
+    // shared_[i] positions hold the previous order's nodes, so
+    // their end times in end_t and the state after them still hold.
+    struct State
+    {
+        double time_pe[2];
+        double makespan;
+    };
+    std::array<State, 257> at{};
+    std::array<double, 256> end_t{};
+    at[0] = State{{0.0, 0.0}, 0.0};
+
+    OrderScore best;
+    std::int64_t pruned = 0;
+    for (std::size_t i = 0; i < count_; ++i) {
+        const std::uint8_t *o = order(i);
+        for (int k = shared_[i]; k < nodes_; ++k) {
+            const std::size_t v = o[k];
+            double dep_ready = 0.0;
+            for (std::size_t e = pred_begin_[v]; e < pred_begin_[v + 1];
+                 ++e)
+                dep_ready = std::max(dep_ready, end_t[pred_ids_[e]]);
+            const State &now = at[static_cast<std::size_t>(k)];
+            const OpLatencyPair &lat = latency[v];
+            const double end_2d =
+                std::max(now.time_pe[0], dep_ready) + lat[0];
+            const double end_1d =
+                std::max(now.time_pe[1], dep_ready) + lat[1];
+            const int pe = end_1d < end_2d ? 1 : 0;
+            const double end = pe == 0 ? end_2d : end_1d;
+            State &next = at[static_cast<std::size_t>(k) + 1];
+            next = now;
+            next.time_pe[pe] = end;
+            next.makespan = std::max(now.makespan, end);
+            end_t[v] = end;
+        }
+        const double m = at[static_cast<std::size_t>(nodes_)].makespan;
+        if (i == 0 || m < best.makespan)
+            best = {i, m};
+        else
+            ++pruned;
+    }
+    const auto tried = static_cast<std::int64_t>(count_);
+    stats.orders_tried += tried;
+    stats.orders_pruned += pruned;
+    stats.states_explored += tried * static_cast<std::int64_t>(nodes_);
+    return best;
+}
+
+Schedule
+OrderSet::schedule(std::size_t i,
+                   const std::vector<OpLatencyPair> &latency) const
+{
+    // Rebuilt edge by edge in stored predecessor order, so dpSchedule
+    // folds each op's dependencies in the original DAG's order.
+    einsum::Dag dag(nodes_);
+    for (int v = 0; v < nodes_; ++v) {
+        for (std::size_t e = pred_begin_[static_cast<std::size_t>(v)];
+             e < pred_begin_[static_cast<std::size_t>(v) + 1]; ++e)
+            dag.addEdge(pred_ids_[e], v);
+    }
+    return dpSchedule(dag, orderVector(i), latency);
+}
+
 Schedule
 bestDpSchedule(const einsum::Dag &dag,
                const std::vector<OpLatencyPair> &latency,
                std::size_t max_orders)
 {
-    // Search statistics: every DP run explores one state per
-    // (op, order) pair; orders that fail to beat the incumbent
-    // makespan are the pruned share of the search.
-    std::int64_t orders_tried = 1;
-    std::int64_t orders_pruned = 0;
-    Schedule best = dpSchedule(dag, dag.topoSort(), latency);
-    if (max_orders > 1) {
-        for (const auto &order :
-             dag.enumerateTopoOrders(max_orders)) {
-            Schedule s = dpSchedule(dag, order, latency);
-            ++orders_tried;
-            if (s.makespan < best.makespan)
-                best = std::move(s);
-            else
-                ++orders_pruned;
-        }
-    }
-    TF_COUNT("dpipe/dp/orders_tried", orders_tried);
-    TF_COUNT("dpipe/dp/orders_pruned", orders_pruned);
-    TF_COUNT("dpipe/dp/states_explored",
-             orders_tried * static_cast<std::int64_t>(
-                                dag.nodeCount()));
-    return best;
+    const OrderSet orders(dag, max_orders);
+    DpSearchStats stats;
+    const OrderScore best = orders.best(latency, stats);
+    stats.record();
+    return dpSchedule(dag, orders.orderVector(best.index), latency);
 }
 
 } // namespace transfusion::dpipe

@@ -13,6 +13,7 @@
 #define TRANSFUSION_DPIPE_DP_SCHEDULER_HH
 
 #include <array>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -75,9 +76,87 @@ Schedule dpSchedule(const einsum::Dag &dag,
                     const std::vector<OpLatencyPair> &latency);
 
 /**
- * Convenience: run the DP over candidate topological orders (the
- * canonical Kahn order plus up to `max_orders` lexicographically
- * enumerated ones) and keep the best makespan.
+ * Search statistics of the DP over candidate orders: every DP run
+ * explores one state per (op, order) pair; orders that fail to
+ * beat the incumbent makespan are the pruned share.
+ */
+struct DpSearchStats
+{
+    std::int64_t orders_tried = 0;
+    std::int64_t orders_pruned = 0;
+    std::int64_t states_explored = 0;
+
+    /** Add to the current registry's dpipe/dp counters. */
+    void record() const;
+};
+
+/** Winner of OrderSet::best. */
+struct OrderScore
+{
+    std::size_t index = 0; ///< into the OrderSet
+    double makespan = 0;
+};
+
+/**
+ * The candidate topological orders of one DAG, stored flat as byte
+ * node ids (order i is ids[i*nodes, (i+1)*nodes)): the canonical
+ * Kahn order first, then -- when `max_orders` > 1 -- up to
+ * `max_orders` lexicographically enumerated ones.  The Kahn order
+ * is often also the first lexicographic one; it is kept twice, so
+ * the search statistics count what the DP actually runs.  Flat
+ * copies of the DAG's predecessor lists and of each order's common
+ * prefix with the previous one ride along, so the set scores and
+ * schedules its orders without keeping the DAG.  Fatal above 256
+ * nodes (ids must fit a byte).
+ */
+class OrderSet
+{
+  public:
+    OrderSet() = default;
+    OrderSet(const einsum::Dag &dag, std::size_t max_orders);
+
+    int nodes() const { return nodes_; }
+    std::size_t size() const { return count_; }
+    /** Order i as dpSchedule takes it. */
+    std::vector<int> orderVector(std::size_t i) const;
+
+    /**
+     * Score every order with the Eq. 43-46 DP and keep the first
+     * strict minimum.  Each order's makespan is bit-identical to
+     * dpSchedule's: the DP state after a prefix shared with the
+     * previous order is reused, not recomputed, so every order sees
+     * the same operations in the same sequence.  Allocates nothing;
+     * adds to `stats`.
+     */
+    OrderScore best(const std::vector<OpLatencyPair> &latency,
+                    DpSearchStats &stats) const;
+
+    /** dpSchedule over order i of the DAG this set was built from. */
+    Schedule schedule(std::size_t i,
+                      const std::vector<OpLatencyPair> &latency) const;
+
+  private:
+    void append(const std::vector<int> &order);
+    /** First id of order i; `nodes_` ids follow. */
+    const std::uint8_t *order(std::size_t i) const
+    {
+        return ids_.data() + i * static_cast<std::size_t>(nodes_);
+    }
+
+    int nodes_ = 0;
+    std::size_t count_ = 0;
+    std::vector<std::uint8_t> ids_;
+    /** Leading ids order i shares with order i-1 (0 for i = 0). */
+    std::vector<std::uint16_t> shared_;
+    /** Predecessors of v: pred_ids_[pred_begin_[v], pred_begin_[v+1]). */
+    std::vector<std::uint16_t> pred_begin_;
+    std::vector<std::uint8_t> pred_ids_;
+};
+
+/**
+ * Convenience: score `dag`'s candidate orders (see OrderSet), then
+ * materialize the winner with dpSchedule.  Records the dpipe/dp
+ * counters.
  */
 Schedule bestDpSchedule(const einsum::Dag &dag,
                         const std::vector<OpLatencyPair> &latency,

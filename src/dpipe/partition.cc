@@ -6,6 +6,7 @@
 #include "partition.hh"
 
 #include "common/logging.hh"
+#include "obs/obs.hh"
 
 namespace transfusion::dpipe
 {
@@ -73,6 +74,7 @@ isValidBipartition(const einsum::Dag &dag,
 std::vector<Bipartition>
 enumerateBipartitions(const einsum::Dag &dag)
 {
+    TF_SPAN("dpipe.enumerate_bipartitions");
     const int n = dag.nodeCount();
     if (n > 22)
         tf_fatal("bipartition enumeration over ", n,

@@ -7,8 +7,10 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 
 #include "common/logging.hh"
+#include "dpipe/skeleton.hh"
 #include "obs/obs.hh"
 
 namespace transfusion::dpipe
@@ -41,73 +43,15 @@ latencyTable(const einsum::Cascade &cascade,
     return lat;
 }
 
-/** Induced subgraph over `members`; `to_orig` maps new->old ids. */
-einsum::Dag
-inducedSubdag(const einsum::Dag &dag, const std::vector<bool> &members,
-              std::vector<int> &to_orig)
-{
-    to_orig.clear();
-    std::vector<int> to_new(static_cast<std::size_t>(dag.nodeCount()),
-                            -1);
-    for (int v = 0; v < dag.nodeCount(); ++v) {
-        if (members[static_cast<std::size_t>(v)]) {
-            to_new[static_cast<std::size_t>(v)] =
-                static_cast<int>(to_orig.size());
-            to_orig.push_back(v);
-        }
-    }
-    einsum::Dag sub(static_cast<int>(to_orig.size()));
-    for (int v = 0; v < dag.nodeCount(); ++v) {
-        if (!members[static_cast<std::size_t>(v)])
-            continue;
-        for (int w : dag.successors(v)) {
-            if (members[static_cast<std::size_t>(w)]) {
-                sub.addEdge(to_new[static_cast<std::size_t>(v)],
-                            to_new[static_cast<std::size_t>(w)]);
-            }
-        }
-    }
-    return sub;
-}
-
 /** Latency table for a subset, remapped to subgraph ids. */
-std::vector<OpLatencyPair>
+void
 subsetLatency(const std::vector<OpLatencyPair> &lat,
-              const std::vector<int> &to_orig)
+              const std::vector<int> &to_orig,
+              std::vector<OpLatencyPair> &out)
 {
-    std::vector<OpLatencyPair> out;
-    out.reserve(to_orig.size());
+    out.clear();
     for (int v : to_orig)
         out.push_back(lat[static_cast<std::size_t>(v)]);
-    return out;
-}
-
-/**
- * Fig. 7(d): the steady-state epoch DAG.  A-subgraph ops (next
- * epoch) and B-subgraph ops (current epoch) keep only their
- * intra-subgraph edges -- cross edges refer to the *previous* slot's
- * results -- and a virtual ROOT (node n) feeds every resulting
- * source.
- */
-einsum::Dag
-steadyStateDag(const einsum::Dag &dag,
-               const std::vector<bool> &in_first)
-{
-    const int n = dag.nodeCount();
-    einsum::Dag combined(n + 1);
-    for (int v = 0; v < n; ++v) {
-        for (int w : dag.successors(v)) {
-            if (in_first[static_cast<std::size_t>(v)]
-                    == in_first[static_cast<std::size_t>(w)]) {
-                combined.addEdge(v, w);
-            }
-        }
-    }
-    for (int v = 0; v < n; ++v) {
-        if (combined.predecessors(v).empty())
-            combined.addEdge(n, v);
-    }
-    return combined;
 }
 
 /** Accumulate a schedule's per-array work from full-op loads. */
@@ -233,86 +177,100 @@ schedulePipeline(const einsum::Cascade &cascade,
                  const model::DimMapping &mapping,
                  const PipelineOptions &opts)
 {
-    const einsum::Dag dag = cascade.buildDag();
+    TF_SPAN("dpipe.schedule_pipeline");
+    const PipelineSkeleton &skel =
+        pipelineSkeleton(cascade.buildDag(), opts.max_orders);
     const std::int64_t epochs = std::max<std::int64_t>(
         1, model::epochCount(mapping, dims, arch.pe2d.rows,
                              arch.pe2d.cols));
-
     const auto lat_epoch = latencyTable(cascade, dims, arch,
                                         opts.latency,
                                         static_cast<double>(epochs));
+
+    // Every candidate is scored by makespan alone; only the winning
+    // plan's orders are materialized as Schedules afterwards.  The
+    // baseline plan DP-schedules one epoch and repeats it
+    // back-to-back.
+    DpSearchStats dp_stats;
+    const OrderScore epoch = skel.epoch.best(lat_epoch, dp_stats);
+    double best_total = epoch.makespan * static_cast<double>(epochs);
+
+    // The leading bipartition plan, if one beats the baseline.
+    struct Winner
+    {
+        const BipartitionSkeleton *bp;
+        OrderScore steady, fill, drain;
+    };
+    std::optional<Winner> win;
+    auto lat_combined = lat_epoch;
+    lat_combined.push_back({0.0, 0.0}); // virtual ROOT
+    std::vector<OpLatencyPair> lat_a, lat_b;
+    std::int64_t bipartitions_tried = 0;
+    std::int64_t bipartitions_kept = 0;
+    // One epoch leaves nothing to overlap: only the baseline runs.
+    const std::size_t candidates =
+        epochs < 2 ? 0 : skel.bipartitions.size();
+    for (std::size_t i = 0; i < candidates; ++i) {
+        const BipartitionSkeleton &bp = skel.bipartitions[i];
+        ++bipartitions_tried;
+        subsetLatency(lat_epoch, bp.a_ids, lat_a);
+        subsetLatency(lat_epoch, bp.b_ids, lat_b);
+        const OrderScore steady = bp.steady.best(lat_combined, dp_stats);
+        const OrderScore fill = bp.fill.best(lat_a, dp_stats);
+        const OrderScore drain = bp.drain.best(lat_b, dp_stats);
+
+        // Fill (A alone), the steady state, drain (B alone).
+        const double total = fill.makespan
+            + static_cast<double>(epochs - 1) * steady.makespan
+            + drain.makespan;
+        if (total < best_total) {
+            ++bipartitions_kept;
+            best_total = total;
+            win = Winner{&bp, steady, fill, drain};
+        }
+    }
+
     std::vector<double> full_load;
     full_load.reserve(cascade.size());
     for (const auto &op : cascade.ops())
         full_load.push_back(op.computeLoad(dims));
 
-    // Baseline plan: DP-schedule one epoch, repeat it back-to-back.
-    const Schedule epoch_sched =
-        bestDpSchedule(dag, lat_epoch, opts.max_orders);
-
     PipelineResult best;
     best.epochs = epochs;
-    best.pipelined = false;
-    best.steady_epoch_seconds = epoch_sched.makespan;
-    best.total_seconds = epoch_sched.makespan
-        * static_cast<double>(epochs);
-    best.steady_schedule = epoch_sched;
-    best.work.busy_2d_s = epoch_sched.busy_2d
-        * static_cast<double>(epochs);
-    best.work.busy_1d_s = epoch_sched.busy_1d
-        * static_cast<double>(epochs);
-    addWork(best.work, epoch_sched, full_load, 1);
-
-    std::int64_t bipartitions_tried = 0;
-    std::int64_t bipartitions_kept = 0;
-    if (epochs < 2) {
-        TF_COUNT("dpipe/pipeline/plans", 1);
-        return best;
+    best.total_seconds = best_total;
+    if (!win) {
+        Schedule sched = skel.epoch.schedule(epoch.index, lat_epoch);
+        best.pipelined = false;
+        best.steady_epoch_seconds = sched.makespan;
+        best.work.busy_2d_s = sched.busy_2d * static_cast<double>(epochs);
+        best.work.busy_1d_s = sched.busy_1d * static_cast<double>(epochs);
+        addWork(best.work, sched, full_load, 1);
+        best.steady_schedule = std::move(sched);
+    } else {
+        const BipartitionSkeleton &bp = *win->bp;
+        subsetLatency(lat_epoch, bp.a_ids, lat_a);
+        subsetLatency(lat_epoch, bp.b_ids, lat_b);
+        Schedule steady =
+            bp.steady.schedule(win->steady.index, lat_combined);
+        const Schedule fill = bp.fill.schedule(win->fill.index, lat_a);
+        const Schedule drain = bp.drain.schedule(win->drain.index, lat_b);
+        best.pipelined = true;
+        best.partition = bp.partition;
+        best.steady_epoch_seconds = win->steady.makespan;
+        best.fill_seconds = win->fill.makespan;
+        best.drain_seconds = win->drain.makespan;
+        best.work.busy_2d_s = fill.busy_2d + drain.busy_2d
+            + steady.busy_2d * static_cast<double>(epochs - 1);
+        best.work.busy_1d_s = fill.busy_1d + drain.busy_1d
+            + steady.busy_1d * static_cast<double>(epochs - 1);
+        addWork(best.work, steady, full_load, 1);
+        best.steady_schedule = std::move(steady);
     }
 
-    for (const auto &part : enumerateBipartitions(dag)) {
-        ++bipartitions_tried;
-        const auto combined = steadyStateDag(dag, part.in_first);
-        auto lat_combined = lat_epoch;
-        lat_combined.push_back({0.0, 0.0}); // virtual ROOT
-        const Schedule steady = bestDpSchedule(combined, lat_combined,
-                                               opts.max_orders);
-
-        // Fill (A alone) and drain (B alone).
-        std::vector<int> a_ids, b_ids;
-        std::vector<bool> in_second(part.in_first.size());
-        for (std::size_t i = 0; i < part.in_first.size(); ++i)
-            in_second[i] = !part.in_first[i];
-        const auto a_dag = inducedSubdag(dag, part.in_first, a_ids);
-        const auto b_dag = inducedSubdag(dag, in_second, b_ids);
-        const Schedule fill = bestDpSchedule(
-            a_dag, subsetLatency(lat_epoch, a_ids), opts.max_orders);
-        const Schedule drain = bestDpSchedule(
-            b_dag, subsetLatency(lat_epoch, b_ids), opts.max_orders);
-
-        const double total = fill.makespan
-            + static_cast<double>(epochs - 1) * steady.makespan
-            + drain.makespan;
-        if (total < best.total_seconds) {
-            ++bipartitions_kept;
-            PipelineResult r;
-            r.epochs = epochs;
-            r.pipelined = true;
-            r.partition = part;
-            r.steady_epoch_seconds = steady.makespan;
-            r.fill_seconds = fill.makespan;
-            r.drain_seconds = drain.makespan;
-            r.total_seconds = total;
-            r.steady_schedule = steady;
-            r.work.busy_2d_s = fill.busy_2d + drain.busy_2d
-                + steady.busy_2d * static_cast<double>(epochs - 1);
-            r.work.busy_1d_s = fill.busy_1d + drain.busy_1d
-                + steady.busy_1d * static_cast<double>(epochs - 1);
-            addWork(r.work, steady, full_load, 1);
-            best = std::move(r);
-        }
-    }
+    dp_stats.record();
     TF_COUNT("dpipe/pipeline/plans", 1);
+    if (epochs < 2)
+        return best;
     TF_COUNT("dpipe/pipeline/bipartitions_tried",
              bipartitions_tried);
     TF_COUNT("dpipe/pipeline/bipartitions_improved",

@@ -71,7 +71,10 @@ struct PipelineResult
 /**
  * Compute-side DPipe plan for a cascade.  Inner tiles follow the
  * Table 1 `mapping`; per-epoch op latency is the full-op Eq. 42
- * latency divided by the epoch count.
+ * latency divided by the epoch count.  The bipartitions and
+ * candidate orders come from the cascade topology's memoized
+ * pipelineSkeleton (dpipe/skeleton.hh); only the latencies are
+ * computed per call.
  */
 PipelineResult schedulePipeline(const einsum::Cascade &cascade,
                                 const einsum::DimEnv &dims,

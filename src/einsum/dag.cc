@@ -235,14 +235,14 @@ struct TopoEnum
     std::vector<int> indeg;
     std::vector<bool> placed;
     std::vector<int> current;
-    std::vector<std::vector<int>> *collect;
+    const std::function<void(const std::vector<int> &)> *visit;
     std::uint64_t count = 0;
     std::uint64_t cap;
 
     TopoEnum(const Dag &d, std::uint64_t cap_,
-             std::vector<std::vector<int>> *out)
+             const std::function<void(const std::vector<int> &)> *v)
         : dag(d), indeg(d.nodeCount()), placed(d.nodeCount(), false),
-          collect(out), cap(cap_)
+          visit(v), cap(cap_)
     {
         for (int v = 0; v < d.nodeCount(); ++v)
             indeg[v] = static_cast<int>(d.predecessors(v).size());
@@ -253,8 +253,8 @@ struct TopoEnum
     {
         if (static_cast<int>(current.size()) == dag.nodeCount()) {
             ++count;
-            if (collect)
-                collect->push_back(current);
+            if (visit)
+                (*visit)(current);
             return;
         }
         for (int v = 0; v < dag.nodeCount() && count < cap; ++v) {
@@ -287,9 +287,19 @@ std::vector<std::vector<int>>
 Dag::enumerateTopoOrders(std::size_t cap) const
 {
     std::vector<std::vector<int>> out;
-    TopoEnum e(*this, cap, &out);
-    e.run();
+    forEachTopoOrder(cap, [&out](const std::vector<int> &order) {
+        out.push_back(order);
+    });
     return out;
+}
+
+void
+Dag::forEachTopoOrder(
+    std::size_t cap,
+    const std::function<void(const std::vector<int> &)> &visit) const
+{
+    TopoEnum e(*this, cap, &visit);
+    e.run();
 }
 
 std::string

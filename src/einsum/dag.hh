@@ -11,6 +11,7 @@
 #define TRANSFUSION_EINSUM_DAG_HH
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -77,6 +78,16 @@ class Dag
      */
     std::vector<std::vector<int>>
     enumerateTopoOrders(std::size_t cap) const;
+
+    /**
+     * Visit the same orders enumerateTopoOrders returns, in the
+     * same sequence, without collecting them: `visit` sees each
+     * complete order in a buffer reused between calls.
+     */
+    void forEachTopoOrder(
+        std::size_t cap,
+        const std::function<void(const std::vector<int> &)> &visit)
+        const;
 
     /** Graphviz dot text, with optional node labels. */
     std::string toDot(const std::vector<std::string> &labels = {}) const;

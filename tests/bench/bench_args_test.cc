@@ -268,5 +268,74 @@ TEST(BenchArgsDeathTest, ChipBudgetAcceptsZeroButNotGarbage)
                 "got '4x'");
 }
 
+TEST(BenchArgs, SeedTakesEveryUint64)
+{
+    EXPECT_EQ(parse({ "bench", "--seed", "0" }).seed, 0u);
+    EXPECT_EQ(parse({ "bench", "--seed=18446744073709551615" }).seed,
+              UINT64_MAX);
+}
+
+TEST(BenchArgsDeathTest, SeedRejectsGarbageAndNegatives)
+{
+    // strtoull alone read "abc" as 0 and wrapped "-1" to 2^64 - 1.
+    EXPECT_EXIT(parse({ "bench", "--seed", "abc" }),
+                testing::ExitedWithCode(2),
+                "--seed needs a non-negative integer below 2\\^64, "
+                "got 'abc'");
+    EXPECT_EXIT(parse({ "bench", "--seed=-1" }),
+                testing::ExitedWithCode(2), "got '-1'");
+    EXPECT_EXIT(parse({ "bench", "--seed", "7x" }),
+                testing::ExitedWithCode(2), "got '7x'");
+    EXPECT_EXIT(parse({ "bench", "--seed", " 7" }),
+                testing::ExitedWithCode(2), "got ' 7'");
+    EXPECT_EXIT(parse({ "bench", "--seed=18446744073709551616" }),
+                testing::ExitedWithCode(2), "--seed needs");
+}
+
+TEST(PositionalArgs, KnownNamesAndNumbersParse)
+{
+    EXPECT_EQ(archArg("example", "edge").name, arch::edgeArch().name);
+    EXPECT_EQ(modelArg("example", "BERT").name, "BERT");
+    EXPECT_EQ(intArg("example", "seq", "65536"), 65536);
+    EXPECT_EQ(intArg("example", "threads", "0", 0, 1024), 0);
+    EXPECT_EQ(intArg("example", "seq", "9223372036854775807"),
+              INT64_MAX);
+}
+
+TEST(PositionalArgsDeathTest, UnknownNamesExitWithTheSpellings)
+{
+    // archByName/modelByName throw FatalError; uncaught in main()
+    // that aborted with status 134.
+    EXPECT_EXIT(archArg("example", "nope"), testing::ExitedWithCode(2),
+                "example: unknown architecture 'nope' \\(use cloud, "
+                "edge, edge32 or edge64\\)");
+    EXPECT_EXIT(modelArg("example", "bert"), testing::ExitedWithCode(2),
+                "example: unknown model 'bert' \\(use BERT, ");
+    EXPECT_EXIT(archArg("example", ""), testing::ExitedWithCode(2),
+                "unknown architecture ''");
+}
+
+TEST(PositionalArgsDeathTest, NumbersAreParsedWholeAndInRange)
+{
+    // atoll read "abc" as 0 and "4k" as 4.
+    EXPECT_EXIT(intArg("example", "seq", "abc"),
+                testing::ExitedWithCode(2),
+                "example: seq needs an integer >= 1, got 'abc'");
+    EXPECT_EXIT(intArg("example", "seq", "4k"),
+                testing::ExitedWithCode(2), "got '4k'");
+    EXPECT_EXIT(intArg("example", "seq", ""),
+                testing::ExitedWithCode(2), "got ''");
+    EXPECT_EXIT(intArg("example", "seq", "0"),
+                testing::ExitedWithCode(2), "got '0'");
+    EXPECT_EXIT(intArg("example", "seq", "-4096"),
+                testing::ExitedWithCode(2), "got '-4096'");
+    EXPECT_EXIT(intArg("example", "seq", "9223372036854775808"),
+                testing::ExitedWithCode(2), "seq needs an integer");
+    EXPECT_EXIT(intArg("example", "threads", "1025", 0, 1024),
+                testing::ExitedWithCode(2),
+                "threads needs an integer in \\[0, 1024\\], "
+                "got '1025'");
+}
+
 } // namespace
 } // namespace transfusion::bench

@@ -4,7 +4,9 @@
  * random DAGs with random latencies, every schedule must respect
  * dependencies, never double-book an array, and its makespan must
  * sit between two analytic bounds (critical path / work bound from
- * below, fully-serial execution from above).
+ * below, fully-serial execution from above).  The allocation-free
+ * scoring kernel behind bestDpSchedule must pick, to the bit, the
+ * schedule a plain dpSchedule over every candidate order picks.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +17,8 @@
 #include "common/rng.hh"
 #include "dpipe/dp_scheduler.hh"
 #include "dpipe/partition.hh"
+#include "obs/obs.hh"
+#include "schedule_bits.hh"
 
 namespace transfusion::dpipe
 {
@@ -152,6 +156,93 @@ TEST(SchedulerFuzz, MoreOrdersNeverHurt)
         const double many = bestDpSchedule(dag, lat, 64).makespan;
         ASSERT_LE(many, few + 1e-12);
     }
+}
+
+/**
+ * The DP over candidate orders written the direct way: a full
+ * dpSchedule on the Kahn order and on every enumerated order,
+ * keeping the first strict minimum.
+ */
+Schedule
+referenceBestSchedule(const einsum::Dag &dag,
+                      const std::vector<OpLatencyPair> &lat,
+                      std::size_t cap)
+{
+    Schedule best = dpSchedule(dag, dag.topoSort(), lat);
+    if (cap > 1) {
+        for (const auto &order : dag.enumerateTopoOrders(cap)) {
+            Schedule s = dpSchedule(dag, order, lat);
+            if (s.makespan < best.makespan)
+                best = std::move(s);
+        }
+    }
+    return best;
+}
+
+TEST(SchedulerFuzz, ScoringKernelMatchesFullDpOverEveryOrder)
+{
+    Rng rng(0x5C0E);
+    const std::size_t caps[] = { 1, 2, 16, 64 };
+    int tie_trials = 0;
+    for (int trial = 0; trial < 400; ++trial) {
+        SCOPED_TRACE("trial " + std::to_string(trial));
+        const int n = 1 + static_cast<int>(rng.nextBelow(11));
+        const auto dag = randomDag(rng, n, rng.nextDouble(0.0, 0.6));
+        // Odd trials draw latencies from {1, 2}: many orders then
+        // tie at the minimum and only the first may win.
+        std::vector<OpLatencyPair> lat = randomLatencies(rng, n);
+        if (trial % 2 == 1) {
+            for (auto &l : lat) {
+                l[0] = static_cast<double>(1 + rng.nextBelow(2));
+                l[1] = static_cast<double>(1 + rng.nextBelow(2));
+            }
+        }
+        const std::size_t cap = caps[trial % 4];
+
+        obs::Registry reg;
+        Schedule got;
+        {
+            obs::ScopedRegistry scope(reg);
+            got = bestDpSchedule(dag, lat, cap);
+        }
+        expectSameSchedule(got, referenceBestSchedule(dag, lat, cap));
+
+        // The kernel's winner, scored order by order with the full
+        // DP: same index, same makespan bits.
+        const OrderSet orders(dag, cap);
+        DpSearchStats stats;
+        const OrderScore score = orders.best(lat, stats);
+        std::size_t want_index = 0;
+        double want_makespan = 0;
+        int at_min = 0;
+        for (std::size_t i = 0; i < orders.size(); ++i) {
+            const double m =
+                dpSchedule(dag, orders.orderVector(i), lat).makespan;
+            if (i == 0 || m < want_makespan) {
+                want_index = i;
+                want_makespan = m;
+            }
+        }
+        for (std::size_t i = 0; i < orders.size(); ++i)
+            at_min += dpSchedule(dag, orders.orderVector(i), lat)
+                              .makespan
+                          == want_makespan
+                ? 1
+                : 0;
+        EXPECT_EQ(score.index, want_index);
+        EXPECT_SAME_BITS(score.makespan, want_makespan);
+        // The set schedules its orders from its own copy of the DAG.
+        expectSameSchedule(orders.schedule(score.index, lat), got);
+        tie_trials += at_min > 1 ? 1 : 0;
+
+        const auto counters = reg.snapshot().counters;
+        const auto tried = static_cast<std::int64_t>(orders.size());
+        EXPECT_EQ(counters.at("dpipe/dp/orders_tried"), tried);
+        EXPECT_EQ(counters.at("dpipe/dp/states_explored"), tried * n);
+        EXPECT_LE(counters.at("dpipe/dp/orders_pruned"), tried - 1);
+    }
+    // The sweep must actually exercise the tie rule.
+    EXPECT_GT(tie_trials, 100);
 }
 
 } // namespace

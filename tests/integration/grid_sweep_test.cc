@@ -5,14 +5,20 @@
  * benches visit -- positive metrics, roofline consistency, work
  * conservation between FuseMax and TransFusion, the strategy
  * ordering, and feasibility of the chosen tiles.  The paper's
- * qualitative claims -- the strict strategy ordering and latency
- * growing with sequence length -- are asserted over the full
- * headline grid.
+ * qualitative claims -- the strict strategy ordering, latency
+ * growing with sequence length, and the per-layer energy breakdown
+ * summing to the total -- are asserted over the full headline
+ * grid, and the grid's DPipe plans share one skeleton per layer
+ * topology.
  */
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <set>
+
 #include "bench_util.hh"
+#include "dpipe/skeleton.hh"
 #include "schedule/sweep.hh"
 #include "schedule/tiling.hh"
 #include "sim/compare.hh"
@@ -114,6 +120,16 @@ INSTANTIATE_TEST_SUITE_P(
         GridPoint{ "edge64", "T5", 1 << 14 },
         GridPoint{ "edge64", "Llama3", 1 << 16 }));
 
+/** The 60-point headline grid of headline_geomean. */
+std::vector<schedule::StrategyMetrics>
+runHeadlineGrid()
+{
+    const schedule::Sweep sweep(bench::sweepOptions());
+    return sweep.run(schedule::Sweep::grid(
+        { arch::cloudArch(), arch::edgeArch() }, model::allModels(),
+        sim::paperSequenceSweep()));
+}
+
 /**
  * The headline grid (cloud/edge x every model x the paper's
  * sequence sweep), evaluated exactly as headline_geomean does:
@@ -123,11 +139,8 @@ INSTANTIATE_TEST_SUITE_P(
  */
 TEST(PaperClaims, OrderingAndSequenceTrendsHoldOnTheHeadlineGrid)
 {
-    const schedule::Sweep sweep(bench::sweepOptions());
     const std::vector<std::int64_t> seqs = sim::paperSequenceSweep();
-    const auto metrics = sweep.run(schedule::Sweep::grid(
-        { arch::cloudArch(), arch::edgeArch() }, model::allModels(),
-        seqs));
+    const auto metrics = runHeadlineGrid();
     ASSERT_EQ(metrics.size(), 2 * model::allModels().size()
                                   * seqs.size());
 
@@ -155,6 +168,76 @@ TEST(PaperClaims, OrderingAndSequenceTrendsHoldOnTheHeadlineGrid)
                       latency(kind))
                 << toString(kind);
     }
+}
+
+/**
+ * Fig. 12/13 report energy per sub-layer and in total: at every
+ * headline point and for every strategy, the four sub-layers'
+ * energies -- each component and the sum -- add up to the total.
+ */
+TEST(PaperClaims, EnergyBreakdownSumsToTotal)
+{
+    const auto metrics = runHeadlineGrid();
+    ASSERT_EQ(metrics.size(), 60u);
+    const auto expectSums = [](double parts, double total,
+                               const char *what) {
+        EXPECT_LE(std::abs(parts - total),
+                  1e-12 * std::abs(total))
+            << what << ": layers " << parts << " vs total " << total;
+    };
+    for (const schedule::StrategyMetrics &m : metrics) {
+        SCOPED_TRACE(m.point.label());
+        for (const StrategyKind kind : schedule::allStrategies()) {
+            SCOPED_TRACE(toString(kind));
+            const schedule::EvalResult &r = m.at(kind);
+            costmodel::EnergyBreakdown sum;
+            double totals = 0;
+            for (const auto &layer : r.layers) {
+                sum += layer.energy;
+                totals += layer.energy.total();
+            }
+            const costmodel::EnergyBreakdown &total = r.total.energy;
+            EXPECT_GT(total.total(), 0.0);
+            expectSums(totals, total.total(), "total");
+            expectSums(sum.dram_j, total.dram_j, "dram");
+            expectSums(sum.buffer_j, total.buffer_j, "buffer");
+            expectSums(sum.rf_j, total.rf_j, "rf");
+            expectSums(sum.pe_j, total.pe_j, "pe");
+            expectSums(sum.link_j, total.link_j, "link");
+        }
+    }
+}
+
+/**
+ * Every DPipe plan of the headline grid -- 2 archs x 5 models x 6
+ * sequence lengths x 4 sub-layers -- is scored against one of four
+ * memoized skeletons, one per layer topology.
+ */
+TEST(DPipeSkeletons, HeadlineGridSharesFourTopologies)
+{
+    const std::size_t before = dpipe::pipelineSkeletonCount();
+    runHeadlineGrid();
+    const std::size_t after = dpipe::pipelineSkeletonCount();
+
+    const dpipe::PipelineOptions pipeline =
+        bench::sweepOptions().evaluator.pipeline;
+    std::set<const dpipe::PipelineSkeleton *> used;
+    for (const auto &cfg : model::allModels()) {
+        for (const model::LayerKind kind : model::allLayerKinds()) {
+            used.insert(&dpipe::pipelineSkeleton(
+                model::buildCascade(kind, cfg).buildDag(),
+                pipeline.max_orders));
+        }
+    }
+    EXPECT_EQ(used.size(), 4u);
+    // The grid already built every skeleton it uses.
+    EXPECT_EQ(dpipe::pipelineSkeletonCount(), after);
+    // ctest runs each test in a fresh process: the memo starts
+    // empty and the grid leaves exactly the four.
+    if (before == 0)
+        EXPECT_EQ(after, 4u);
+    else
+        EXPECT_LE(after - before, 4u);
 }
 
 } // namespace
