@@ -16,6 +16,7 @@
  */
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 
 #include <benchmark/benchmark.h>
@@ -84,6 +85,48 @@ BM_ServeCoreReplay(benchmark::State &state)
     state.SetLabel(serve::toString(core));
 }
 BENCHMARK(BM_ServeCoreReplay)
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond);
+
+/**
+ * The same replay driven the way the fleet and fault layers drive
+ * it: one advance() to every arrival horizon, then one to the end.
+ * Reports wall time per advance() call next to rounds_per_s, so a
+ * per-call fixed cost (anything proportional to the running batch
+ * rather than to the rounds a call runs) shows up directly.
+ */
+void
+BM_ServeChoppedAdvance(benchmark::State &state)
+{
+    const auto core = coreOf(state);
+    const auto wl = saturatingWorkload(256);
+    const serve::ServeSimulator sim(arch::edgeArch(),
+                                    model::t5Small(), wl,
+                                    serveOptions(core));
+    const auto trace = serve::generateWorkload(wl, 1);
+
+    std::int64_t rounds = 0;
+    std::int64_t calls = 0;
+    for (auto _ : state) {
+        serve::ServeSession s = sim.startSession(trace);
+        for (const serve::Request &r : trace)
+            sim.advance(s, r.arrival_s);
+        sim.advance(s, std::numeric_limits<double>::infinity());
+        calls += static_cast<std::int64_t>(trace.size()) + 1;
+        const auto m = sim.finishSession(s);
+        rounds += m.prefill_rounds + m.decode_rounds;
+        benchmark::DoNotOptimize(m.makespan_s);
+    }
+    state.counters["rounds_per_s"] = benchmark::Counter(
+        static_cast<double>(rounds), benchmark::Counter::kIsRate);
+    // Inverted rate: wall seconds per call (prints as e.g. 450ns).
+    state.counters["per_advance"] = benchmark::Counter(
+        static_cast<double>(calls),
+        benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+    state.SetLabel(serve::toString(core));
+}
+BENCHMARK(BM_ServeChoppedAdvance)
     ->Arg(0)
     ->Arg(1)
     ->Unit(benchmark::kMillisecond);

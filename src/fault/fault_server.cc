@@ -373,7 +373,7 @@ FaultTolerantServer::run(const std::vector<serve::Request> &requests,
 
     /** Terminal outage: account every outstanding request. */
     const auto rejectOutstanding = [&]() {
-        tf_assert(session.running.empty(),
+        tf_assert(session.runningCount() == 0,
                   "outage with in-flight work not drained");
         for (const serve::Request &req : session.queue) {
             session.metrics.rejected += 1;

@@ -329,13 +329,14 @@ FleetSimulator::run(const std::vector<serve::Request> &requests,
      * that happened inside the step are final (healthy-replica
      * overload); the audit log is cleared to bound memory.
      */
+    std::vector<int> needy; ///< advanceAll's reused work list
     const auto advanceAll = [&](double horizon) {
         if (event_core) {
             // advance() is a strict no-op for a session with no
             // work left or a clock already at the horizon, so only
             // the needy sessions are dispatched — and a lone needy
             // session skips the pool fan-out entirely.
-            std::vector<int> needy;
+            needy.clear();
             for (int i = 0; i < pool; ++i) {
                 const ReplicaState &st = at(i);
                 if (st.session && st.session->workLeft()
@@ -481,9 +482,11 @@ FleetSimulator::run(const std::vector<serve::Request> &requests,
         }
     };
 
-    /** Load views of the eligible replicas, index order. */
+    /** Refill `views` with the eligible replicas' loads, index
+     *  order (one buffer, reused across routing decisions). */
+    std::vector<ReplicaView> views;
     const auto buildViews = [&]() {
-        std::vector<ReplicaView> views;
+        views.clear();
         for (int i = 0; i < pool; ++i)
             if (eligible(i)) {
                 const ReplicaState &st = at(i);
@@ -491,7 +494,6 @@ FleetSimulator::run(const std::vector<serve::Request> &requests,
                     ReplicaView{ i, st.session->outstanding(),
                                  st.session->freeKvWords() });
             }
-        return views;
     };
 
     /**
@@ -501,8 +503,9 @@ FleetSimulator::run(const std::vector<serve::Request> &requests,
      * held (original arrival preserved) until eligibility
      * reappears.
      */
+    std::vector<serve::Request> batch; ///< reused routing batch
     const auto routeArrivals = [&](double t) {
-        std::vector<serve::Request> batch;
+        batch.clear();
         batch.swap(held);
         const std::size_t trace0 = next_trace;
         while (next_trace < requests.size()
@@ -533,14 +536,14 @@ FleetSimulator::run(const std::vector<serve::Request> &requests,
             }
             // Views rebuild per decision: outstanding counts and
             // KV headroom change with every injection.
-            const std::vector<ReplicaView> views = buildViews();
+            buildViews();
             if (views.empty()) {
                 held.push_back(r);
                 continue;
             }
             const int i = router.pick(views);
             ReplicaState &st = at(i);
-            sim.injectRequests(*st.session, { r });
+            sim.injectRequest(*st.session, r);
             st.session->metrics.offered += 1;
         }
     };

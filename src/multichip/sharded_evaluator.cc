@@ -157,7 +157,9 @@ ShardedStackResult
 ShardedStackEvaluator::evaluate(
     schedule::StrategyKind strategy) const
 {
-    TF_SPAN("multichip.sharded_evaluate/" + toString(strategy));
+    static const schedule::StrategyNames kSpan(
+        "multichip.sharded_evaluate/");
+    TF_SPAN(kSpan[strategy]);
     ShardedStackResult res;
     res.spec = spec_;
 

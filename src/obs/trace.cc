@@ -129,7 +129,7 @@ TraceSession::writeChromeTrace(std::ostream &os) const
     os << "\n]}\n";
 }
 
-SpanGuard::SpanGuard(std::string name)
+SpanGuard::SpanGuard(std::string_view name)
 {
     TraceSession &session = TraceSession::global();
     if (!session.enabled())
@@ -137,7 +137,7 @@ SpanGuard::SpanGuard(std::string name)
     TraceSession::ThreadBuffer &buf = session.threadBuffer();
     active_ = true;
     depth_ = buf.depth++;
-    name_ = std::move(name);
+    name_ = name;
     start_ = std::chrono::steady_clock::now();
 }
 

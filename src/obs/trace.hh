@@ -26,6 +26,7 @@
 #include <mutex>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace transfusion::obs
@@ -99,12 +100,13 @@ class TraceSession
 /**
  * RAII span: records one complete event into the global session's
  * buffer for this thread.  A disabled session makes construction
- * and destruction nearly free (one relaxed atomic load each).
+ * and destruction nearly free (one relaxed atomic load each, no
+ * allocation: the name is copied only when the span records).
  */
 class SpanGuard
 {
   public:
-    explicit SpanGuard(std::string name);
+    explicit SpanGuard(std::string_view name);
     ~SpanGuard();
     SpanGuard(const SpanGuard &) = delete;
     SpanGuard &operator=(const SpanGuard &) = delete;

@@ -365,7 +365,8 @@ Evaluator::onChipEnergy(LayerKind kind, StrategyKind strategy) const
 EvalResult
 Evaluator::evaluate(StrategyKind strategy) const
 {
-    TF_SPAN("evaluator.evaluate/" + toString(strategy));
+    static const StrategyNames kSpan("evaluator.evaluate/");
+    TF_SPAN(kSpan[strategy]);
     TF_TIMER("eval/evaluate");
     EvalResult result;
     const double batch = static_cast<double>(cfg_.batch);

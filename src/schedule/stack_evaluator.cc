@@ -61,7 +61,8 @@ StackEvaluator::blockMetrics(const Workload &workload,
 StackResult
 StackEvaluator::evaluate(StrategyKind strategy) const
 {
-    TF_SPAN("stack_evaluator.evaluate/" + toString(strategy));
+    static const StrategyNames kSpan("stack_evaluator.evaluate/");
+    TF_SPAN(kSpan[strategy]);
     StackResult r;
     if (stack_.encoder_layers > 0) {
         r.encoder = blockMetrics(

@@ -38,4 +38,13 @@ usesLayerFusion(StrategyKind kind)
         || kind == StrategyKind::TransFusion;
 }
 
+StrategyNames::StrategyNames(std::string_view prefix)
+{
+    const std::vector<StrategyKind> kinds = allStrategies();
+    names_.resize(kinds.size());
+    for (const StrategyKind kind : kinds)
+        names_[static_cast<std::size_t>(kind)] =
+            std::string(prefix) + toString(kind);
+}
+
 } // namespace transfusion::schedule

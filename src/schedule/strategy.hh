@@ -8,7 +8,9 @@
 #ifndef TRANSFUSION_SCHEDULE_STRATEGY_HH
 #define TRANSFUSION_SCHEDULE_STRATEGY_HH
 
+#include <cstddef>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace transfusion::schedule
@@ -32,6 +34,24 @@ std::vector<StrategyKind> allStrategies();
 
 /** Whether the strategy fuses the whole layer stack (Sec. 3.2). */
 bool usesLayerFusion(StrategyKind kind);
+
+/**
+ * `prefix + toString(kind)` for every strategy, built once: hot
+ * call sites hold one in a function-local static and name their
+ * trace spans from it instead of concatenating per call.
+ */
+class StrategyNames
+{
+  public:
+    explicit StrategyNames(std::string_view prefix);
+    const std::string &operator[](StrategyKind kind) const
+    {
+        return names_[static_cast<std::size_t>(kind)];
+    }
+
+  private:
+    std::vector<std::string> names_;
+};
 
 } // namespace transfusion::schedule
 

@@ -41,29 +41,54 @@ geometricGrid(std::int64_t lo, std::int64_t hi, int points)
 }
 
 /**
- * Piecewise-linear interpolation; x outside [xs.front, xs.back]
- * clamps to the endpoint value.  Linear extrapolation on the
- * boundary segment used to run through zero for a steep-enough
- * negative boundary slope, pricing out-of-grid batches at
- * 0 s/step — the endpoint is the honest bound the grid supports.
+ * Where x falls on a sorted grid: ys[lo] exactly when lo == hi
+ * (a one-point grid, or x clamped to an endpoint), else the segment
+ * [lo, hi] = [lo, lo + 1] at fraction `frac`.
  */
-double
-interp(const std::vector<std::int64_t> &xs,
-       const std::vector<double> &ys, double x)
+struct Bracket
 {
-    if (xs.size() == 1)
-        return ys[0];
-    if (x <= static_cast<double>(xs.front()))
-        return ys.front();
+    std::size_t lo = 0;
+    std::size_t hi = 0;
+    double frac = 0;
+};
+
+/**
+ * x outside [xs.front, xs.back] clamps to the endpoint.  Linear
+ * extrapolation on the boundary segment used to run through zero
+ * for a steep-enough negative boundary slope, pricing out-of-grid
+ * batches at 0 s/step — the endpoint is the honest bound the grid
+ * supports.
+ */
+Bracket
+bracket(const std::vector<std::int64_t> &xs, double x)
+{
+    if (xs.size() == 1 || x <= static_cast<double>(xs.front()))
+        return {};
     if (x >= static_cast<double>(xs.back()))
-        return ys.back();
+        return { xs.size() - 1, xs.size() - 1, 0 };
     std::size_t hi = 1;
     while (hi + 1 < xs.size() && x > static_cast<double>(xs[hi]))
         ++hi;
     const auto x0 = static_cast<double>(xs[hi - 1]);
     const auto x1 = static_cast<double>(xs[hi]);
-    const double frac = (x - x0) / (x1 - x0);
-    return ys[hi - 1] + frac * (ys[hi] - ys[hi - 1]);
+    return { hi - 1, hi, (x - x0) / (x1 - x0) };
+}
+
+/** The value of a bracketed point on the table row `ys`. */
+double
+at(const Bracket &k, const std::vector<double> &ys)
+{
+    if (k.lo == k.hi)
+        return ys[k.lo];
+    return ys[k.lo] + k.frac * (ys[k.hi] - ys[k.lo]);
+}
+
+/** Piecewise-linear interpolation, clamped at the endpoints. */
+double
+interp(const std::vector<std::int64_t> &xs,
+       const std::vector<double> &ys, double x)
+{
+    return at(bracket(xs, x), ys);
 }
 
 } // namespace
@@ -180,57 +205,47 @@ ServeCostModel::ServeCostModel(schedule::StrategyKind strategy,
     }
 }
 
-double
-ServeCostModel::decodeLookup(
-    const std::vector<std::vector<double>> &table,
-    std::int64_t batch, double mean_cache_len) const
+StepCost
+ServeCostModel::decodeStep(std::int64_t batch,
+                           double mean_cache_len) const
 {
     if (batch <= 0)
         tf_fatal("decode batch must be positive, got ", batch);
-    const double b = std::clamp(
-        static_cast<double>(batch),
-        static_cast<double>(batches_.front()),
-        static_cast<double>(batches_.back()));
     // Bilinear interpolation, bracket-only: the batch-axis interp
-    // reads at most the two rows bracketing `b`, so only those two
-    // cache-axis interps are evaluated.  The arithmetic is the
-    // full-scan version's verbatim (same interp(), same operand
-    // order), so the seconds table's result is bit-identical to
+    // reads at most the two rows bracketing the batch, so only
+    // those two cache-axis interps are evaluated.  Both brackets
+    // are searched once and shared by the seconds and joules
+    // tables.  The arithmetic is the full-scan version's verbatim
+    // (same operands, same order; bracket() clamps as its
+    // std::clamp does), so the seconds are bit-identical to
     // decodeStepSecondsFullScan — the differential replay harness
     // holds both cores to that.
-    const auto at = [&](std::size_t i) {
-        return interp(cache_lens_, table[i], mean_cache_len);
+    const Bracket rows =
+        bracket(batches_, static_cast<double>(batch));
+    const Bracket cols = bracket(cache_lens_, mean_cache_len);
+    const auto lookup = [&](const std::vector<std::vector<double>>
+                                &table) {
+        if (rows.lo == rows.hi)
+            return at(cols, table[rows.lo]);
+        const double y0 = at(cols, table[rows.lo]);
+        const double y1 = at(cols, table[rows.hi]);
+        return y0 + rows.frac * (y1 - y0);
     };
-    if (batches_.size() == 1)
-        return at(0);
-    if (b <= static_cast<double>(batches_.front()))
-        return at(0);
-    if (b >= static_cast<double>(batches_.back()))
-        return at(batches_.size() - 1);
-    std::size_t hi = 1;
-    while (hi + 1 < batches_.size()
-           && b > static_cast<double>(batches_[hi]))
-        ++hi;
-    const auto x0 = static_cast<double>(batches_[hi - 1]);
-    const auto x1 = static_cast<double>(batches_[hi]);
-    const double frac = (b - x0) / (x1 - x0);
-    const double y0 = at(hi - 1);
-    const double y1 = at(hi);
-    return y0 + frac * (y1 - y0);
+    return StepCost{ lookup(step_s_), lookup(step_j_) };
 }
 
 double
 ServeCostModel::decodeStepSeconds(std::int64_t batch,
                                   double mean_cache_len) const
 {
-    return decodeLookup(step_s_, batch, mean_cache_len);
+    return decodeStep(batch, mean_cache_len).seconds;
 }
 
 double
 ServeCostModel::decodeStepJoules(std::int64_t batch,
                                  double mean_cache_len) const
 {
-    return decodeLookup(step_j_, batch, mean_cache_len);
+    return decodeStep(batch, mean_cache_len).joules;
 }
 
 double

@@ -122,6 +122,15 @@ class ServeCostModel
                              double mean_cache_len) const;
 
     /**
+     * Seconds and joules of one decode iteration in one lookup:
+     * the batch and cache-length brackets are searched once and
+     * both tables interpolated on them.  Bit-identical to
+     * {decodeStepSeconds, decodeStepJoules}, which wrap it.
+     */
+    StepCost decodeStep(std::int64_t batch,
+                        double mean_cache_len) const;
+
+    /**
      * The original decode pricing: interpolate along the cache
      * axis for *every* calibrated batch row, then along the batch
      * axis.  Bit-identical to decodeStepSeconds (the batch-axis
@@ -173,12 +182,6 @@ class ServeCostModel
     }
 
   private:
-    /** Bracket bilinear lookup shared by the seconds and joules
-     *  decode tables (identical arithmetic for both). */
-    double decodeLookup(
-        const std::vector<std::vector<double>> &table,
-        std::int64_t batch, double mean_cache_len) const;
-
     schedule::StrategyKind strategy_;
     std::vector<std::int64_t> batches_;
     std::vector<std::int64_t> cache_lens_;

@@ -6,8 +6,8 @@
 #include "simulator.hh"
 
 #include <algorithm>
+#include <functional>
 #include <limits>
-#include <queue>
 #include <sstream>
 #include <utility>
 
@@ -27,6 +27,13 @@ namespace
 
 constexpr double kNoHorizon =
     std::numeric_limits<double>::infinity();
+
+/** The pending trace's sort order. */
+bool
+arrivesEarlier(const Request &a, const Request &b)
+{
+    return a.arrival_s < b.arrival_s;
+}
 
 /**
  * Calibrate (or fetch memoized) cost tables for the arch-based
@@ -169,10 +176,83 @@ ServeSimulator::advance(ServeSession &s, double horizon_s) const
 }
 
 void
+ServeSession::pushRunning(const Request &req, double first_token_s,
+                          std::int64_t generated)
+{
+    Slot slot;
+    slot.req = req;
+    slot.first_token_s = first_token_s;
+    slot.finish_round =
+        metrics.decode_rounds + (req.output_len - generated);
+    ctx_active_ += req.prompt_len + generated;
+    finishers_.emplace_back(slot.finish_round, slots_.size());
+    std::push_heap(finishers_.begin(), finishers_.end(),
+                   std::greater<>());
+    slots_.push_back(slot);
+    live_ += 1;
+}
+
+std::vector<InFlightRequest>
+ServeSession::takeRunning()
+{
+    std::vector<InFlightRequest> out;
+    out.reserve(static_cast<std::size_t>(live_));
+    for (const Slot &slot : slots_) {
+        if (!slot.alive)
+            continue;
+        InFlightRequest r;
+        r.req = slot.req;
+        r.first_token_s = slot.first_token_s;
+        r.generated = slot.req.output_len
+            - (slot.finish_round - metrics.decode_rounds);
+        out.push_back(r);
+    }
+    slots_.clear();
+    finishers_.clear();
+    ctx_active_ = 0;
+    live_ = 0;
+    return out;
+}
+
+void
+ServeSession::compactSlots()
+{
+    slots_.erase(std::remove_if(slots_.begin(), slots_.end(),
+                                [](const Slot &slot) {
+                                    return !slot.alive;
+                                }),
+                 slots_.end());
+    // The heap holds exactly the live slots.  Re-keying them by
+    // their new (monotonically remapped) indices keeps every key
+    // comparison as it was, so the pop order is unchanged.
+    finishers_.clear();
+    for (std::size_t i = 0; i < slots_.size(); ++i)
+        finishers_.emplace_back(slots_[i].finish_round, i);
+    std::make_heap(finishers_.begin(), finishers_.end(),
+                   std::greater<>());
+}
+
+void
 ServeSimulator::advanceLegacy(ServeSession &s,
                               double horizon_s) const
 {
     ServeMetrics &m = s.metrics;
+
+    // The reference loop scans a plain vector; the session holds
+    // the event core's slots, so convert at this boundary.
+    // The guard hands the batch back on every exit, a throw
+    // included, so a caught fatal never loses in-flight requests.
+    std::vector<InFlightRequest> running = s.takeRunning();
+    struct Restore
+    {
+        ServeSession &s;
+        std::vector<InFlightRequest> &running;
+        ~Restore()
+        {
+            for (const InFlightRequest &r : running)
+                s.pushRunning(r.req, r.first_token_s, r.generated);
+        }
+    } restore{s, running};
 
     const auto reservation = [&](const Request &r) {
         return words_per_token_
@@ -188,13 +268,14 @@ ServeSimulator::advanceLegacy(ServeSession &s,
         s.cache.release(reservation(r.req));
     };
 
-    while (s.workLeft()) {
+    while (s.next < s.pending.size() || !s.queue.empty()
+           || !running.empty()) {
         // Horizon check at the round boundary only: the caller's
         // world change (a fault, a replan) lands between rounds,
         // never mid-round.  With horizon_s = +inf this never fires
         // and the loop is the original run() loop.
         if (s.now >= horizon_s)
-            return;
+            break;
 
         // Pull every arrival up to the current clock into the
         // bounded queue; overflow is shed immediately.
@@ -222,7 +303,7 @@ ServeSimulator::advanceLegacy(ServeSession &s,
         // starvation-free).
         std::vector<InFlightRequest> admitted;
         while (!s.queue.empty()
-               && static_cast<std::int64_t>(s.running.size()
+               && static_cast<std::int64_t>(running.size()
                                             + admitted.size())
                    < options_.max_batch) {
             const Request &head = s.queue.front();
@@ -263,37 +344,37 @@ ServeSimulator::advanceLegacy(ServeSession &s,
                 if (r.generated >= r.req.output_len)
                     finish(r, s.now);
                 else
-                    s.running.push_back(r);
+                    running.push_back(r);
             }
             m.peak_running = std::max(
                 m.peak_running,
-                static_cast<std::int64_t>(s.running.size()));
+                static_cast<std::int64_t>(running.size()));
             continue;
         }
 
-        if (!s.running.empty()) {
+        if (!running.empty()) {
             // Decode round: every running request emits one token;
             // the step is priced at the batch's mean cache length
             // (exact for the affine-in-cache-length cost model).
             double ctx = 0;
-            for (const InFlightRequest &r : s.running)
+            for (const InFlightRequest &r : running)
                 ctx += static_cast<double>(r.req.prompt_len
                                            + r.generated);
             const auto batch =
-                static_cast<std::int64_t>(s.running.size());
+                static_cast<std::int64_t>(running.size());
             s.now += cost_.decodeStepSecondsFullScan(
                            batch, ctx / static_cast<double>(batch))
                 * s.slowdown;
             // Same (batch, mean) arguments price the step's energy
-            // off the joules table — decodeStepJoules is the one
-            // lookup both cores share, so metered energy is
+            // off the joules table — the same arithmetic the event
+            // core's fused lookup runs, so metered energy is
             // core-invariant.
             m.decode_energy_j += cost_.decodeStepJoules(
                 batch, ctx / static_cast<double>(batch));
             m.decode_rounds += 1;
             std::vector<InFlightRequest> still;
-            still.reserve(s.running.size());
-            for (InFlightRequest &r : s.running) {
+            still.reserve(running.size());
+            for (InFlightRequest &r : running) {
                 r.generated += 1;
                 m.generated_tokens += 1;
                 if (r.generated >= r.req.output_len)
@@ -301,7 +382,7 @@ ServeSimulator::advanceLegacy(ServeSession &s,
                 else
                     still.push_back(r);
             }
-            s.running = std::move(still);
+            running = std::move(still);
             continue;
         }
 
@@ -312,7 +393,7 @@ ServeSimulator::advanceLegacy(ServeSession &s,
             const double arrival = s.pending[s.next].arrival_s;
             if (arrival >= horizon_s) {
                 s.now = std::max(s.now, horizon_s);
-                return;
+                break;
             }
             s.now = std::max(s.now, arrival);
             continue;
@@ -337,59 +418,12 @@ ServeSimulator::advanceEvent(ServeSession &s,
 {
     ServeMetrics &m = s.metrics;
 
-    // Transient event-state, rebuilt from the session's canonical
-    // `running` vector on entry and materialized back on every
-    // exit.  The session struct itself stays plain round-boundary
-    // data, so drains/injections between epochs need no knowledge
-    // of the core that ran the last epoch.  This rebuild is also
-    // what re-keys the finish heap across slowdown transitions: a
-    // caller changing `session.slowdown` does so between advance()
-    // calls, the heap is reconstructed from `running` on the next
-    // entry, and finish *rounds* (the heap key) are invariant to
-    // per-round duration anyway — only the clock increments scale.
-    //
-    // Slot order is admission order (legacy `running` order).  A
-    // request admitted with `g` tokens already generated while
-    // `m.decode_rounds` rounds have run finishes in the round that
-    // brings decode_rounds to m.decode_rounds + (output_len - g):
-    // every decode round hands exactly one token to every running
-    // request and prefill rounds never touch them.
-    struct Slot
-    {
-        Request req;
-        double first_token_s = 0;
-        std::int64_t finish_round = 0;
-        bool alive = true;
-    };
-    std::vector<Slot> slots;
-    slots.reserve(s.running.size());
-    // Min-heap of (finish_round, slot index): pops finishers of one
-    // round in admission order — exactly the order the legacy
-    // compaction walks them.
-    using HeapEntry = std::pair<std::int64_t, std::size_t>;
-    std::priority_queue<HeapEntry, std::vector<HeapEntry>,
-                        std::greater<HeapEntry>>
-        finishers;
-    // Sum of (prompt_len + generated) over live slots.  Integer
-    // sums below 2^53 are exact in doubles regardless of
-    // association, so tracking the sum incrementally as int64 is
-    // bit-identical to the legacy per-round double accumulation.
-    std::int64_t ctx_active = 0;
-    std::int64_t alive = 0;
-
-    for (const InFlightRequest &r : s.running) {
-        Slot slot;
-        slot.req = r.req;
-        slot.first_token_s = r.first_token_s;
-        slot.finish_round =
-            m.decode_rounds + (r.req.output_len - r.generated);
-        ctx_active += r.req.prompt_len + r.generated;
-        finishers.emplace(slot.finish_round, slots.size());
-        slots.push_back(std::move(slot));
-        alive += 1;
-    }
-    s.running.clear();
-
+    // The running batch stays in the session's event form between
+    // calls (slots in admission order, finish heap, context sum),
+    // so a call costs only the rounds it runs.  A caller changing
+    // `session.slowdown` between calls needs no re-keying: finish
+    // *rounds* (the heap key) are invariant to per-round duration,
+    // only the clock increments scale.
     const auto reservation = [&](const Request &r) {
         return words_per_token_
             * static_cast<double>(r.peakContext());
@@ -404,28 +438,11 @@ ServeSimulator::advanceEvent(ServeSession &s,
                                                - 1));
         s.cache.release(reservation(req));
     };
-    // Rebuild `running` for the caller: live slots in admission
-    // order, each with `generated` recovered from its remaining
-    // rounds (finish_round - decode_rounds more tokens to go).
-    const auto materialize = [&]() {
-        for (const Slot &slot : slots) {
-            if (!slot.alive)
-                continue;
-            InFlightRequest r;
-            r.req = slot.req;
-            r.first_token_s = slot.first_token_s;
-            r.generated = slot.req.output_len
-                - (slot.finish_round - m.decode_rounds);
-            s.running.push_back(r);
-        }
-    };
 
-    while (s.next < s.pending.size() || !s.queue.empty()
-           || alive > 0) {
-        if (s.now >= horizon_s) {
-            materialize();
+    std::vector<Request> admitted;
+    while (s.workLeft()) {
+        if (s.now >= horizon_s)
             return;
-        }
 
         // Arrival pull: verbatim legacy.
         while (s.next < s.pending.size()
@@ -444,11 +461,11 @@ ServeSimulator::advanceEvent(ServeSession &s,
             ++s.next;
         }
 
-        // FIFO admission: verbatim legacy, with `alive` standing in
-        // for running.size().
-        std::vector<InFlightRequest> admitted;
+        // FIFO admission: verbatim legacy, with the live count
+        // standing in for running.size().
+        admitted.clear();
         while (!s.queue.empty()
-               && alive + static_cast<std::int64_t>(
+               && s.live_ + static_cast<std::int64_t>(
                       admitted.size())
                    < options_.max_batch) {
             const Request &head = s.queue.front();
@@ -462,9 +479,7 @@ ServeSimulator::advanceEvent(ServeSession &s,
             if (!s.cache.tryReserve(words))
                 break;
             m.queue_wait_s.add(s.now - head.arrival_s);
-            InFlightRequest r;
-            r.req = head;
-            admitted.push_back(r);
+            admitted.push_back(head);
             s.queue.pop_front();
         }
 
@@ -473,68 +488,60 @@ ServeSimulator::advanceEvent(ServeSession &s,
             // verbatim legacy; survivors enter the finish heap
             // instead of the scan vector.
             double dt = 0;
-            for (const InFlightRequest &r : admitted) {
-                dt += cost_.prefillSeconds(r.req.prompt_len);
+            for (const Request &r : admitted) {
+                dt += cost_.prefillSeconds(r.prompt_len);
                 m.prefill_energy_j +=
-                    cost_.prefillJoules(r.req.prompt_len);
+                    cost_.prefillJoules(r.prompt_len);
             }
             s.now += dt * s.slowdown;
             m.prefill_rounds += 1;
-            for (InFlightRequest &r : admitted) {
-                r.first_token_s = s.now;
-                r.generated = 1;
+            for (const Request &r : admitted) {
                 m.generated_tokens += 1;
-                m.ttft_s.add(s.now - r.req.arrival_s);
-                if (r.generated >= r.req.output_len) {
-                    finish(r.req, r.first_token_s, s.now);
-                } else {
-                    Slot slot;
-                    slot.req = r.req;
-                    slot.first_token_s = r.first_token_s;
-                    slot.finish_round = m.decode_rounds
-                        + (r.req.output_len - r.generated);
-                    ctx_active +=
-                        slot.req.prompt_len + r.generated;
-                    finishers.emplace(slot.finish_round,
-                                      slots.size());
-                    slots.push_back(std::move(slot));
-                    alive += 1;
-                }
+                m.ttft_s.add(s.now - r.arrival_s);
+                if (r.output_len <= 1)
+                    finish(r, s.now, s.now);
+                else
+                    s.pushRunning(r, s.now, 1);
             }
-            m.peak_running = std::max(m.peak_running, alive);
+            m.peak_running = std::max(m.peak_running, s.live_);
             continue;
         }
 
-        if (alive > 0) {
+        if (s.live_ > 0) {
             // Decode round, event form: the batch context sum and
             // the finisher set are already known, so the round is
             // O(1) plus O(log n) per finisher.
-            const std::int64_t batch = alive;
-            s.now += cost_.decodeStepSeconds(
-                           batch,
-                           static_cast<double>(ctx_active)
-                               / static_cast<double>(batch))
-                * s.slowdown;
-            m.decode_energy_j += cost_.decodeStepJoules(
-                batch,
-                static_cast<double>(ctx_active)
-                    / static_cast<double>(batch));
+            const std::int64_t batch = s.live_;
+            const StepCost step = cost_.decodeStep(
+                batch, static_cast<double>(s.ctx_active_)
+                           / static_cast<double>(batch));
+            s.now += step.seconds * s.slowdown;
+            m.decode_energy_j += step.joules;
             m.decode_rounds += 1;
             m.generated_tokens += batch;
             // Every running request gained one token; finishers
             // then leave with their full context.
-            ctx_active += batch;
-            while (!finishers.empty()
-                   && finishers.top().first == m.decode_rounds) {
-                const std::size_t ix = finishers.top().second;
-                finishers.pop();
-                Slot &slot = slots[ix];
+            s.ctx_active_ += batch;
+            auto &heap = s.finishers_;
+            while (!heap.empty()
+                   && heap.front().first == m.decode_rounds) {
+                std::pop_heap(heap.begin(), heap.end(),
+                              std::greater<>());
+                ServeSession::Slot &slot =
+                    s.slots_[heap.back().second];
+                heap.pop_back();
                 finish(slot.req, slot.first_token_s, s.now);
-                ctx_active -=
+                s.ctx_active_ -=
                     slot.req.prompt_len + slot.req.output_len;
                 slot.alive = false;
-                alive -= 1;
+                s.live_ -= 1;
             }
+            // Compact once dead slots outnumber live ones:
+            // amortized O(1) per finisher, and the slot vector stays
+            // bounded by twice the batch.
+            if (static_cast<std::int64_t>(s.slots_.size())
+                > 2 * s.live_)
+                s.compactSlots();
             continue;
         }
 
@@ -543,7 +550,6 @@ ServeSimulator::advanceEvent(ServeSession &s,
             const double arrival = s.pending[s.next].arrival_s;
             if (arrival >= horizon_s) {
                 s.now = std::max(s.now, horizon_s);
-                materialize();
                 return;
             }
             s.now = std::max(s.now, arrival);
@@ -551,24 +557,21 @@ ServeSimulator::advanceEvent(ServeSession &s,
         }
         if (s.queue.empty())
             continue;
-        materialize();
         tf_fatal("serve loop wedged with ", s.queue.size(),
                  " queued requests (completed ", m.completed,
                  ", rejected ", m.rejected, " of ", m.offered,
                  ")");
     }
-    materialize();
 }
 
 std::vector<InFlightRequest>
 ServeSimulator::drainRunning(ServeSession &s) const
 {
-    for (const InFlightRequest &r : s.running)
+    std::vector<InFlightRequest> drained = s.takeRunning();
+    for (const InFlightRequest &r : drained)
         s.cache.release(words_per_token_
                         * static_cast<double>(
                             r.req.peakContext()));
-    std::vector<InFlightRequest> drained = std::move(s.running);
-    s.running.clear();
     return drained;
 }
 
@@ -606,13 +609,25 @@ ServeSimulator::injectRequests(ServeSession &s,
                      arrivals.end());
     // Keep the unconsumed tail sorted; the consumed prefix
     // [0, next) is history and never re-read.
-    std::inplace_merge(
-        s.pending.begin()
-            + static_cast<std::ptrdiff_t>(s.next),
-        s.pending.begin() + mid, s.pending.end(),
-        [](const Request &a, const Request &b) {
-            return a.arrival_s < b.arrival_s;
-        });
+    std::inplace_merge(s.pending.begin()
+                           + static_cast<std::ptrdiff_t>(s.next),
+                       s.pending.begin() + mid, s.pending.end(),
+                       arrivesEarlier);
+}
+
+void
+ServeSimulator::injectRequest(ServeSession &s,
+                              const Request &arrival) const
+{
+    if (arrival.prompt_len <= 0 || arrival.output_len <= 0)
+        tf_fatal("bad injected request: ", arrival.toString());
+    // Where the stable merge would put it: after every tail
+    // request that does not arrive later.
+    s.pending.insert(
+        std::upper_bound(s.pending.begin()
+                             + static_cast<std::ptrdiff_t>(s.next),
+                         s.pending.end(), arrival, arrivesEarlier),
+        arrival);
 }
 
 ServeMetrics

@@ -29,6 +29,7 @@
 #include <cstdint>
 #include <deque>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/histogram.hh"
@@ -49,15 +50,21 @@ namespace transfusion::serve
  *               round walks the whole running batch (context sum,
  *               token bump, compaction) and prices the step off the
  *               full interpolation grid.  Kept as the reference
- *               implementation and bench baseline.
+ *               implementation and bench baseline; it copies the
+ *               session's running batch into its own vector on
+ *               entry and back on exit.
  *   EventHeap — event-driven core: finish times are precomputed
  *               (every running request emits exactly one token per
  *               decode round, so its finish round is known at
  *               admission) and kept in a min-heap keyed
  *               (finish_round, admission_seq); the batch context
  *               sum is maintained incrementally as exact integer
- *               arithmetic.  Decode rounds cost O(1) + O(log n) per
- *               finisher instead of O(batch).
+ *               arithmetic.  The heap lives in the ServeSession and
+ *               persists across advance() calls, and each round is
+ *               priced with one fused (seconds, joules) lookup.
+ *               Decode rounds cost O(1) + O(log n) per finisher
+ *               instead of O(batch), and an advance() call costs
+ *               only the rounds it runs.
  */
 enum class SimCoreKind
 {
@@ -161,11 +168,13 @@ struct ShedRecord
 /**
  * Resumable state of one serving replay.  Created by
  * ServeSimulator::startSession and advanced by
- * ServeSimulator::advance; every field is plain data so a fault
- * layer can drain/inject between epochs.  Integer bookkeeping
- * only — mutating it never touches the cost tables, so moving a
- * session between simulators (after a degraded-mode replan) is
- * well-defined.
+ * ServeSimulator::advance.  The arrival, queue, clock and ledger
+ * fields are plain data a fault layer can edit between epochs; the
+ * running batch is private to ServeSimulator (its finish heap must
+ * stay consistent with it) and leaves only through drainRunning.
+ * Integer bookkeeping only — mutating a session never touches the
+ * cost tables, so moving it between simulators (after a
+ * degraded-mode replan) is well-defined.
  */
 struct ServeSession
 {
@@ -178,8 +187,6 @@ struct ServeSession
     std::size_t next = 0;
     /** Arrived, not yet admitted (FIFO, bounded by max_queue). */
     std::deque<Request> queue;
-    /** Admitted requests mid-generation. */
-    std::vector<InFlightRequest> running;
     /** KV reservation ledger (capacity survives replans). */
     KvCacheTracker cache;
     /** Virtual clock in seconds. */
@@ -204,11 +211,13 @@ struct ServeSession
      */
     std::vector<ShedRecord> shed_log;
 
+    /** Admitted requests mid-generation. */
+    std::int64_t runningCount() const { return live_; }
+
     /** Whether any arrival, queued, or running work remains. */
     bool workLeft() const
     {
-        return next < pending.size() || !queue.empty()
-            || !running.empty();
+        return next < pending.size() || !queue.empty() || live_ > 0;
     }
 
     /**
@@ -219,8 +228,7 @@ struct ServeSession
     std::int64_t outstanding() const
     {
         return static_cast<std::int64_t>(pending.size() - next)
-            + static_cast<std::int64_t>(queue.size())
-            + static_cast<std::int64_t>(running.size());
+            + static_cast<std::int64_t>(queue.size()) + live_;
     }
 
     /** Unreserved KV words — the headroom a KV-pressure-aware
@@ -229,6 +237,57 @@ struct ServeSession
     {
         return cache.capacityWords() - cache.reservedWords();
     }
+
+  private:
+    friend class ServeSimulator;
+
+    /**
+     * One admitted request in the event core's form.  Every decode
+     * round hands exactly one token to every running request and
+     * prefill rounds never touch them, so a request admitted with
+     * `g` tokens generated after `d` decode rounds finishes in
+     * round d + (output_len - g): its finish round is fixed at
+     * admission and `generated` is recoverable from it.
+     */
+    struct Slot
+    {
+        Request req;
+        double first_token_s = 0;
+        std::int64_t finish_round = 0;
+        bool alive = true;
+    };
+    /** (finish_round, slot index): unique keys, so pops are in
+     *  finish-round then admission order. */
+    using FinishKey = std::pair<std::int64_t, std::size_t>;
+
+    /** Append a running request (admission order). */
+    void pushRunning(const Request &req, double first_token_s,
+                     std::int64_t generated);
+    /** Remove and return the running batch, admission order; KV
+     *  reservations are left to the caller. */
+    std::vector<InFlightRequest> takeRunning();
+    /**
+     * Drop dead slots and re-key the heap by the new indices.  The
+     * remap is monotone and the keys unique, so the pop order —
+     * equal finish rounds in admission order — is unchanged.
+     */
+    void compactSlots();
+
+    /** Running requests in admission order; dead ones linger until
+     *  the next compaction. */
+    std::vector<Slot> slots_;
+    /** Min-heap over the live slots (std::push_heap/pop_heap with
+     *  std::greater). */
+    std::vector<FinishKey> finishers_;
+    /**
+     * Sum of (prompt_len + generated) over live slots.  Integer
+     * sums below 2^53 are exact in doubles regardless of
+     * association, so tracking it as int64 is bit-identical to the
+     * legacy per-round double accumulation.
+     */
+    std::int64_t ctx_active_ = 0;
+    /** Live slots. */
+    std::int64_t live_ = 0;
 };
 
 /**
@@ -317,6 +376,11 @@ class ServeSimulator
      */
     void injectRequests(ServeSession &session,
                         std::vector<Request> arrivals) const;
+
+    /** injectRequests for one arrival, without building a vector:
+     *  it lands after every pending request arriving no later. */
+    void injectRequest(ServeSession &session,
+                       const Request &arrival) const;
 
     /**
      * Finalize and return the session's metrics (peak KV words,

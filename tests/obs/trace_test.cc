@@ -8,13 +8,17 @@
 #include "obs/trace.hh"
 
 #include <future>
+#include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/thread_pool.hh"
+#include "schedule/evaluator.hh"
+#include "schedule/stack_evaluator.hh"
 
 namespace transfusion::obs
 {
@@ -193,6 +197,44 @@ TEST(TraceSession, ChromeTraceJsonShape)
               std::string::npos);
     EXPECT_EQ(json.front(), '{');
     EXPECT_EQ(json[json.size() - 2], '}');
+}
+
+TEST(TraceSession, RecordsLongAndViewNamesExactly)
+{
+    // Names past the 15-char small-string buffer, and a view that
+    // is not NUL-terminated, are copied exactly when recording.
+    schedule::EvaluatorOptions o;
+    o.mcts.iterations = 16;
+    const auto cfg = model::t5Small();
+    const schedule::Evaluator eval(arch::edgeArch(), cfg, 256, o);
+    const schedule::StackEvaluator stack(
+        arch::edgeArch(), model::encoderOnly(cfg), 256, 0, o);
+    const std::string text = "prefix.view_span/suffix";
+    TraceSession &session = TraceSession::global();
+    session.start();
+    {
+        SpanGuard view(std::string_view(text).substr(0, 16));
+    }
+    using schedule::StrategyKind;
+    for (const auto kind : { StrategyKind::FuseMax,
+                             StrategyKind::FuseMaxLayerFuse }) {
+        eval.evaluate(kind);
+        stack.evaluate(kind);
+    }
+    session.stop();
+
+    std::multiset<std::string> names;
+    for (const TraceEvent &e : session.events())
+        names.insert(e.name);
+    EXPECT_EQ(names.count("prefix.view_span"), 1u);
+    for (const std::string name :
+         { "evaluator.evaluate/FuseMax",
+           "evaluator.evaluate/FuseMax+LayerFuse",
+           "stack_evaluator.evaluate/FuseMax",
+           "stack_evaluator.evaluate/FuseMax+LayerFuse" }) {
+        EXPECT_GT(name.size(), 15u);
+        EXPECT_GE(names.count(name), 1u) << name;
+    }
 }
 
 } // namespace

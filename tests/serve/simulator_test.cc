@@ -4,9 +4,14 @@
  * shedding, and metric bookkeeping.
  */
 
+#include <algorithm>
+#include <limits>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/logging.hh"
+#include "metrics_diff.hh"
 #include "serve/simulator.hh"
 
 namespace transfusion::serve
@@ -175,6 +180,104 @@ TEST(ServeSimulator, RejectsMalformedTraces)
     trace = generateWorkload(wl, 6);
     trace[2].output_len = 0;
     EXPECT_THROW(sim.run(trace), FatalError);
+}
+
+/** One world change applied at a round boundary. */
+struct EpochEvent
+{
+    double time_s;
+    /** New slowdown, or 0 for "drain the batch and re-inject it". */
+    double slowdown;
+};
+
+/**
+ * Replay `trace` through the epochs `events` delimit.  Epoch e runs
+ * on `sims[e % sims.size()]`; with `chop`, every advance stops at
+ * each arrival time and takes single-round steps (a horizon just
+ * past the clock, inside the next round) between them.
+ */
+ServeMetrics
+epochReplay(const std::vector<const ServeSimulator *> &sims,
+            const std::vector<Request> &trace,
+            const std::vector<EpochEvent> &events, bool chop)
+{
+    ServeSession s = sims[0]->startSession(trace);
+    const auto run = [&](const ServeSimulator &sim, double horizon) {
+        if (chop)
+            for (const Request &r : trace) {
+                if (r.arrival_s >= horizon)
+                    break;
+                sim.advance(s, r.arrival_s);
+                sim.advance(s, std::min(horizon, s.now + 1e-9));
+            }
+        sim.advance(s, horizon);
+    };
+    for (std::size_t e = 0; e <= events.size(); ++e) {
+        const ServeSimulator &sim = *sims[e % sims.size()];
+        if (e == events.size()) {
+            run(sim, std::numeric_limits<double>::infinity());
+            break;
+        }
+        run(sim, events[e].time_s);
+        if (events[e].slowdown > 0) {
+            s.slowdown = events[e].slowdown;
+            continue;
+        }
+        std::vector<Request> retries;
+        for (const InFlightRequest &r : sim.drainRunning(s)) {
+            Request retry = r.req;
+            retry.arrival_s = s.now;
+            retries.push_back(retry);
+        }
+        EXPECT_FALSE(retries.empty());
+        sim.injectRequests(s, std::move(retries));
+    }
+    return sims[0]->finishSession(s);
+}
+
+TEST(ServeSimulator, ChoppedAdvanceIsBitIdenticalToRun)
+{
+    // A saturating burst through 8 lanes: every prefill admits a
+    // lane-full whose outputs span only three lengths, so finish
+    // rounds tie constantly, and 240 finishers through a batch of
+    // at most 8 force a slot compaction every few rounds.
+    WorkloadOptions wl;
+    wl.arrival_per_s = 400.0;
+    wl.requests = 240;
+    wl.prompt = { 64, 128 };
+    wl.output = { 6, 8 };
+    ServeOptions o = fastServe();
+    o.max_batch = 8;
+    const ServeSimulator event(arch::edgeArch(), model::t5Small(),
+                               wl, o);
+    o.core = SimCoreKind::Legacy;
+    const ServeSimulator legacy(arch::edgeArch(), model::t5Small(),
+                                wl, o);
+    const auto trace = generateWorkload(wl, 7);
+
+    // Horizons alone: the finish heap persists across hundreds of
+    // advance() calls and must replay the uninterrupted run.
+    const ServeMetrics whole = event.run(trace);
+    EXPECT_GE(whole.completed, 200);
+    EXPECT_EQ(bench::diffServeMetrics(
+                  whole, epochReplay({ &event }, trace, {}, true)),
+              "");
+
+    // World changes between epochs — a slowdown flip and back, then
+    // a drain + re-inject mid-burst — with the cores alternating
+    // per epoch, so both conversions run with requests in flight.
+    const std::vector<EpochEvent> events = {
+        { trace[60].arrival_s, 2.0 },
+        { trace[120].arrival_s, 1.0 },
+        { trace[180].arrival_s, 0.0 },
+    };
+    const ServeMetrics epochs =
+        epochReplay({ &event }, trace, events, false);
+    EXPECT_GE(epochs.completed, 200);
+    EXPECT_EQ(bench::diffServeMetrics(
+                  epochs, epochReplay({ &event, &legacy }, trace,
+                                      events, true)),
+              "");
 }
 
 } // namespace
