@@ -24,7 +24,7 @@ constexpr int kChipsPerReplica = 2;
 
 /** Cheap calibration knobs; cost tables are cached process-wide. */
 serve::ServeOptions
-fastServe(serve::SimCoreKind core)
+fastServe()
 {
     serve::ServeOptions o;
     o.strategy = schedule::StrategyKind::TransFusion;
@@ -32,19 +32,17 @@ fastServe(serve::SimCoreKind core)
     o.cost.cache_samples = 3;
     o.cost.prefill_samples = 3;
     o.cost.evaluator.mcts.iterations = 32;
-    o.core = core;
     return o;
 }
 
 /** Per-seed fleet configuration: health on even seeds, brownout on
  *  every third, so detector paths chaos-test alongside plain
- *  failover — under both loop cores and both thread counts. */
+ *  failover — at both thread counts. */
 fleet::FleetOptions
-fleetOptions(std::uint64_t seed, serve::SimCoreKind core,
-             int threads)
+fleetOptions(std::uint64_t seed, int threads)
 {
     fleet::FleetOptions o;
-    o.serve = fastServe(core);
+    o.serve = fastServe();
     o.threads = threads;
     o.plan_threads = 1;
     if (seed % 2 == 0) {
@@ -111,7 +109,8 @@ chaosTrace(std::uint64_t seed)
 }
 
 /** One replay inside its own registry; the report string rides
- *  along so core/thread agreement covers the observable record. */
+ *  along so the oracle and thread checks cover the observable
+ *  record. */
 struct Replay
 {
     fleet::FleetMetrics metrics;
@@ -142,7 +141,7 @@ warmCostTables()
         1, multichip::edgeCluster(kChipsPerReplica),
         multichip::ShardSpec{ kChipsPerReplica, 1 },
         model::t5Small(), envelope(),
-        fleetOptions(1, serve::SimCoreKind::EventHeap, 1));
+        fleetOptions(1, 1));
 }
 
 SeedResult
@@ -173,25 +172,20 @@ runSeed(std::uint64_t seed)
             static_cast<std::int64_t>(faults.events.size());
     }
 
-    const auto fleetFor = [&](serve::SimCoreKind core,
-                              int threads) {
+    const auto fleetFor = [&](int threads) {
         return fleet::FleetSimulator::uniform(
             kReplicas, cluster, spec, cfg, wl,
-            fleetOptions(seed, core, threads));
+            fleetOptions(seed, threads));
     };
     // Invariant 4 (termination) is every one of these returning.
-    const Replay legacy1 =
-        replay(fleetFor(serve::SimCoreKind::Legacy, 1), trace, run);
-    const Replay event1 = replay(
-        fleetFor(serve::SimCoreKind::EventHeap, 1), trace, run);
-    const Replay event4 = replay(
-        fleetFor(serve::SimCoreKind::EventHeap, 4), trace, run);
+    const Replay event1 = replay(fleetFor(1), trace, run);
+    const Replay event4 = replay(fleetFor(4), trace, run);
     out.metrics = event1.metrics;
 
     std::ostringstream err;
     // Invariant 1: conservation, fleet-wide and per replica (run()
     // also self-asserts).
-    for (const Replay *r : { &legacy1, &event1, &event4 }) {
+    for (const Replay *r : { &event1, &event4 }) {
         if (r->metrics.completed + r->metrics.rejected
             != r->metrics.offered)
             err << "conservation leak; ";
@@ -199,13 +193,17 @@ runSeed(std::uint64_t seed)
             if (rep.completed + rep.rejected != rep.offered)
                 err << "replica conservation leak; ";
     }
-    // Invariant 2: legacy vs event-heap, bitwise.
-    const std::string cores =
-        diffFleetMetrics(legacy1.metrics, event1.metrics);
-    if (!cores.empty())
-        err << "legacy-vs-event: " << cores;
-    if (legacy1.report != event1.report)
-        err << "legacy-vs-event report differs; ";
+    // Invariant 2: the Legacy core's committed digest, bitwise.
+    const DigestFile &oracle = legacyCoreDigests();
+    const ReplayDigest digest = digestOf(
+        "chaos/seed" + std::to_string(seed), event1.metrics,
+        event1.report);
+    if (oracle.has(digest.cell)) {
+        out.oracle_checked = true;
+        const std::string d = oracle.check(digest);
+        if (!d.empty())
+            err << "core oracle: " << d;
+    }
     // Invariant 3: threads 1 vs 4, bitwise.
     const std::string threads =
         diffFleetMetrics(event1.metrics, event4.metrics);
@@ -219,7 +217,7 @@ runSeed(std::uint64_t seed)
     // faults) must end on the exact initial spec — generated
     // schedules pair every fault with a recovery.
     fault::FaultServeOptions fo;
-    fo.serve = fastServe(serve::SimCoreKind::EventHeap);
+    fo.serve = fastServe();
     fo.initial_spec = spec;
     fo.plan_threads = 1;
     const fault::FaultTolerantServer server(cluster, cfg, wl, fo);

@@ -5,13 +5,13 @@
  * seed builds a randomized trace, per-replica fault schedules
  * (losses, link degrades, correlated gray-failure slowdowns) and a
  * rotating policy / health / brownout configuration, replays it on
- * a small fleet under both sim cores and two thread counts, and
- * checks five invariants:
+ * a small fleet at two thread counts, and checks five invariants:
  *
  *   1. conservation — completed + rejected == offered, fleet-wide
  *      and per replica;
- *   2. core agreement — Legacy and EventHeap replays are bitwise
- *      identical (metrics and RunReport);
+ *   2. core oracle — the one-thread replay matches the seed's
+ *      committed Legacy-core digest (bench::legacyCoreDigests,
+ *      seeds 1-70), when the file has one for it;
  *   3. thread independence — threads=1 and threads=4 replays are
  *      bitwise identical;
  *   4. termination — every replay returns;
@@ -47,6 +47,8 @@ struct SeedResult
     fleet::FleetMetrics metrics;
     /** Every violated invariant; empty = the seed passed. */
     std::string failure;
+    /** Whether invariant 2 ran: the digest file has this seed. */
+    bool oracle_checked = false;
 };
 
 /**
@@ -56,7 +58,8 @@ struct SeedResult
  */
 void warmCostTables();
 
-/** Replay one seed and check all five invariants. */
+/** Replay one seed and check all five invariants (invariant 2
+ *  only for a seed with a committed digest). */
 SeedResult runSeed(std::uint64_t seed);
 
 } // namespace transfusion::bench::chaos

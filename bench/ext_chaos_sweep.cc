@@ -3,11 +3,12 @@
  * Extension experiment: the chaos-invariant sweep as a standalone
  * driver.  Fans `--schedules` seeded fault schedules (chip losses,
  * link degrades, correlated gray-failure slowdowns) across routing
- * policies, health/brownout configurations and both sim cores
- * through the harness tests/chaos runs (chaos_harness.hh), checking
- * its five invariants on every run: conservation, legacy-vs-event
- * bitwise agreement, threads-1v4 bit-identity, termination, and
- * exact post-recovery spec restore.
+ * policies and health/brownout configurations through the harness
+ * tests/chaos runs (chaos_harness.hh), checking its five
+ * invariants on every run: conservation, agreement with the
+ * committed Legacy-core digest (for seeds that have one: 1-70),
+ * threads-1v4 bit-identity, termination, and exact post-recovery
+ * spec restore.
  *
  * The ctest harness pins a fixed seed count for CI; this binary is
  * the dial — crank `--schedules` into the thousands for a soak run,
@@ -27,6 +28,7 @@
 #include "bench_util.hh"
 #include "chaos_harness.hh"
 #include "common/thread_pool.hh"
+#include "metrics_diff.hh"
 
 int
 main(int argc, char **argv)
@@ -37,10 +39,17 @@ main(int argc, char **argv)
     const auto args = bench::parseBenchArgs(argc, argv);
     bench::printBanner(
         "Extension: chaos-invariant sweep",
-        "Seeded fault schedules x policies x sim cores; every run "
-        "must conserve requests, agree bitwise across cores and "
-        "thread counts, terminate, and recover to the exact "
-        "initial spec");
+        "Seeded fault schedules x policies; every run must "
+        "conserve requests, match its committed core digest, agree "
+        "bitwise across thread counts, terminate, and recover to "
+        "the exact initial spec");
+
+    // A broken digest file would silently check nothing.
+    const bench::DigestFile &oracle = bench::legacyCoreDigests();
+    if (!oracle.error().empty()) {
+        std::cerr << oracle.error() << "\n";
+        return 1;
+    }
 
     // Warm the process-wide cost-table cache once so the parallel
     // seed fan-out below doesn't race to calibrate.
@@ -60,9 +69,12 @@ main(int argc, char **argv)
               "sheds", "reroute", "done/offer", "makespan_s",
               "ok" });
     std::int64_t failures = 0;
+    std::size_t checked = 0;
     for (const SeedResult &r : results) {
         if (!r.failure.empty())
             failures += 1;
+        if (r.oracle_checked)
+            checked += 1;
         t.addRow({ std::to_string(r.seed),
                    fleet::toString(r.policy),
                    std::to_string(r.fault_events),
@@ -80,7 +92,8 @@ main(int argc, char **argv)
     std::cout << "\nSchedules swept: " << results.size() * kReplicas
               << " (" << results.size() << " seeds x " << kReplicas
               << " replicas), invariant failures: " << failures
-              << "\n";
+              << "\ncore-oracle digests checked: " << checked
+              << " of " << results.size() << " seeds\n";
     for (const SeedResult &r : results)
         if (!r.failure.empty())
             std::cerr << "seed " << r.seed << ": " << r.failure

@@ -1,18 +1,14 @@
 /**
  * @file
- * google-benchmark microbenchmarks of the simulation cores: the
- * legacy linear-scan loops vs the event-heap cores, on the serve
- * layer alone and on the saturating 8-replica power-of-two fleet
- * scenario.  Each benchmark reports `rounds_per_s` — scheduler
- * rounds (prefill + decode) retired per wall-clock second — the
- * before/after figure the event-core rework is judged on (the
- * README's performance table comes from this binary).
+ * google-benchmark microbenchmarks of the simulation core, on the
+ * serve layer alone and on the saturating 8-replica power-of-two
+ * fleet scenario.  Each benchmark reports `rounds_per_s` —
+ * scheduler rounds (prefill + decode) retired per wall-clock
+ * second — the figure core changes are judged on (the README's
+ * performance table comes from this binary).
  *
- * Replays only are timed: calibration happens once per core in
- * setup (and the CostTableCache collapses repeated setups).  Both
- * cores replay identical traces to identical metrics — the
- * differential harness (tests/integration/replay_diff_test.cc)
- * pins that; this binary measures the only difference left.
+ * Replays only are timed: calibration happens once in setup (and
+ * the CostTableCache collapses repeated setups).
  */
 
 #include <cstdint>
@@ -44,11 +40,10 @@ saturatingWorkload(int requests)
 }
 
 serve::ServeOptions
-serveOptions(serve::SimCoreKind core)
+serveOptions()
 {
     serve::ServeOptions o;
     o.strategy = schedule::StrategyKind::TransFusion;
-    o.core = core;
     o.max_batch = 8;
     o.cost.cache_samples = 3;
     o.cost.prefill_samples = 3;
@@ -56,22 +51,14 @@ serveOptions(serve::SimCoreKind core)
     return o;
 }
 
-serve::SimCoreKind
-coreOf(const benchmark::State &state)
-{
-    return state.range(0) == 0 ? serve::SimCoreKind::Legacy
-                               : serve::SimCoreKind::EventHeap;
-}
-
 /** One serve replay per iteration; rounds_per_s is the figure. */
 void
 BM_ServeCoreReplay(benchmark::State &state)
 {
-    const auto core = coreOf(state);
     const auto wl = saturatingWorkload(256);
     const serve::ServeSimulator sim(arch::edgeArch(),
                                     model::t5Small(), wl,
-                                    serveOptions(core));
+                                    serveOptions());
     const auto trace = serve::generateWorkload(wl, 1);
 
     std::int64_t rounds = 0;
@@ -82,11 +69,8 @@ BM_ServeCoreReplay(benchmark::State &state)
     }
     state.counters["rounds_per_s"] = benchmark::Counter(
         static_cast<double>(rounds), benchmark::Counter::kIsRate);
-    state.SetLabel(serve::toString(core));
 }
 BENCHMARK(BM_ServeCoreReplay)
-    ->Arg(0)
-    ->Arg(1)
     ->Unit(benchmark::kMillisecond);
 
 /**
@@ -99,11 +83,10 @@ BENCHMARK(BM_ServeCoreReplay)
 void
 BM_ServeChoppedAdvance(benchmark::State &state)
 {
-    const auto core = coreOf(state);
     const auto wl = saturatingWorkload(256);
     const serve::ServeSimulator sim(arch::edgeArch(),
                                     model::t5Small(), wl,
-                                    serveOptions(core));
+                                    serveOptions());
     const auto trace = serve::generateWorkload(wl, 1);
 
     std::int64_t rounds = 0;
@@ -124,25 +107,20 @@ BM_ServeChoppedAdvance(benchmark::State &state)
     state.counters["per_advance"] = benchmark::Counter(
         static_cast<double>(calls),
         benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
-    state.SetLabel(serve::toString(core));
 }
 BENCHMARK(BM_ServeChoppedAdvance)
-    ->Arg(0)
-    ->Arg(1)
     ->Unit(benchmark::kMillisecond);
 
 /**
- * The acceptance scenario: 8 single-chip replicas behind
- * power-of-two routing under a saturating burst.  The event core
- * must retire >= 2x the rounds per second of the legacy core here.
+ * The fleet scenario: 8 single-chip replicas behind power-of-two
+ * routing under a saturating burst.
  */
 void
 BM_FleetP2c8Replicas(benchmark::State &state)
 {
-    const auto core = coreOf(state);
     const auto wl = saturatingWorkload(256);
     fleet::FleetOptions opts;
-    opts.serve = serveOptions(core);
+    opts.serve = serveOptions();
     opts.threads = 1;
     opts.plan_threads = 1;
     const auto fleet = fleet::FleetSimulator::uniform(
@@ -161,28 +139,23 @@ BM_FleetP2c8Replicas(benchmark::State &state)
     }
     state.counters["rounds_per_s"] = benchmark::Counter(
         static_cast<double>(rounds), benchmark::Counter::kIsRate);
-    state.SetLabel(serve::toString(core));
 }
 BENCHMARK(BM_FleetP2c8Replicas)
-    ->Arg(0)
-    ->Arg(1)
     ->Unit(benchmark::kMillisecond);
 
 /**
  * The fleet scenario under active gray failures: every replica
  * carries a generated chip-slowdown schedule, so the replay pays
  * the fault-boundary machinery (timeline cursors, session
- * multiplier swaps, extra heap events) while it retires rounds.
- * Keeps the legacy-vs-event speedup claim honest — a win that
- * evaporates the moment faults fire would be a fair-weather win.
+ * multiplier swaps, extra heap events) while it retires rounds,
+ * so a speedup that evaporates the moment faults fire shows up.
  */
 void
 BM_FleetSlowdownFaults(benchmark::State &state)
 {
-    const auto core = coreOf(state);
     const auto wl = saturatingWorkload(256);
     fleet::FleetOptions opts;
-    opts.serve = serveOptions(core);
+    opts.serve = serveOptions();
     opts.threads = 1;
     opts.plan_threads = 1;
     constexpr int kReplicas = 8;
@@ -215,11 +188,8 @@ BM_FleetSlowdownFaults(benchmark::State &state)
     }
     state.counters["rounds_per_s"] = benchmark::Counter(
         static_cast<double>(rounds), benchmark::Counter::kIsRate);
-    state.SetLabel(serve::toString(core));
 }
 BENCHMARK(BM_FleetSlowdownFaults)
-    ->Arg(0)
-    ->Arg(1)
     ->Unit(benchmark::kMillisecond);
 
 } // namespace

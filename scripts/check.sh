@@ -32,8 +32,8 @@ run_tier1() {
     ctest --test-dir build --output-on-failure -j "$jobs" \
         -L integration
     # The seeded chaos sweep: 200+ randomized fault schedules with
-    # conservation / core-agreement / thread-identity / termination
-    # / exact-recovery invariants (tests/chaos).
+    # conservation / committed-core-digest / thread-identity /
+    # termination / exact-recovery invariants (tests/chaos).
     ctest --test-dir build --output-on-failure -j "$jobs" -L chaos
     # One short measurement of every simulation-core scenario; a
     # hang or crash in the hot loops fails here in ~1 s.
@@ -53,9 +53,9 @@ run_coverage() {
     cmake --build build-cov -j "$jobs"
     ctest --test-dir build-cov --output-on-failure -j "$jobs" \
         -L 'unit|integration|fuzz'
-    # The simulation hot layers the event-core rework touched; the
-    # differential replay harness plus the unit tiers must keep
-    # both cores' branches exercised.
+    # The simulation hot layers; the differential replay harness
+    # plus the unit tiers must keep the event loops' branches
+    # exercised.
     gcovr --root . \
         --filter 'src/serve/' --filter 'src/fleet/' \
         build-cov \

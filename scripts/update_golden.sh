@@ -5,6 +5,11 @@
 # git diff like code: every changed line is a cost-model behaviour
 # change.
 #
+# It never touches tests/integration/data/legacy_core_digests.txt:
+# that file is an oracle capture of the deleted Legacy simulation
+# core, not a golden.  No build can regenerate it, and an event-core
+# change that breaks it is a bug to fix, not a file to refresh.
+#
 # Usage: scripts/update_golden.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."

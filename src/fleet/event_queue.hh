@@ -2,23 +2,20 @@
  * @file
  * Deterministic min-heap event queue for the fleet loop.
  *
- * The legacy fleet loop recomputes its next boundary every
- * iteration with O(pool) scans (earliest unconsumed fault boundary,
- * next arrival).  The event queue keeps one entry per *source*
- * (each replica's next fault boundary, the trace front, the
- * re-offer front) and pops the minimum under a total order chosen
- * so ties break exactly as the legacy fixed evaluation order does:
+ * The queue keeps one entry per *source* (each replica's next
+ * fault boundary, the trace front, the re-offer front) and pops
+ * the minimum under the total order
  *
  *     (virtual_time, kind_rank, replica_index, request_id)
  *
- * with kind ranks Fault(0) < Arrival(1) < Tick(2).  Ordering by
- * kind at equal times mirrors the legacy loop body, which always
- * applies faults before routing arrivals before ticking at one
- * shared boundary `t` — so which source *produced* the minimum
- * never changes observable behavior, only the selected time does.
- * The key still includes the full tuple to keep the pop order a
- * strict total order (deterministic across library
- * implementations).
+ * with kind ranks Fault(0) < Arrival(1) < Tick(2).  That is the
+ * fleet's tie-break contract at one shared boundary `t`: fault
+ * transitions apply before arrivals are routed, and arrivals
+ * before the autoscaler ticks.  The fleet loop applies every kind
+ * due at `t` in that fixed order whichever source produced the
+ * minimum, so only the selected time is observable; the full
+ * tuple keeps the pop order a strict total order (deterministic
+ * across library implementations).
  *
  * Staleness is handled lazily: sources re-push an entry whenever
  * their front changes, and peek() discards entries that no longer

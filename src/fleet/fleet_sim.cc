@@ -214,9 +214,6 @@ FleetSimulator::run(const std::vector<serve::Request> &requests,
                                : kInf;
 
     ThreadPool advance_pool(options_.threads);
-    std::vector<int> indices;
-    for (int i = 0; i < pool; ++i)
-        indices.push_back(i);
 
     const auto at = [&](int i) -> ReplicaState & {
         return states[static_cast<std::size_t>(i)];
@@ -245,33 +242,29 @@ FleetSimulator::run(const std::vector<serve::Request> &requests,
         return false;
     };
 
-    // Event-core bookkeeping: the queue holds one entry per source
-    // front — the trace front, the re-offer front, and each
-    // replica's next fault boundary — re-pushed whenever its source
-    // changes and validated lazily against the live state at peek
-    // (see fleet/event_queue.hh).  The autoscaler tick is NOT in
-    // the queue: its eligibility is a live predicate over fleet
-    // state (work left, arrivals left, held + activatable), not a
+    // The event queue holds one entry per source front — the trace
+    // front, the re-offer front, and each replica's next fault
+    // boundary — re-pushed whenever its source changes and
+    // validated lazily against the live state at peek (see
+    // fleet/event_queue.hh).  The autoscaler tick is NOT in the
+    // queue: its eligibility is a live predicate over fleet state
+    // (work left, arrivals left, held + activatable), not a
     // timestamped fact, so it merges as a separate gated candidate
-    // below.  All of this is inert under the legacy core.
-    const bool event_core =
-        options_.serve.core == serve::SimCoreKind::EventHeap;
+    // below.
     FleetEventQueue queue;
     const auto pushTraceFront = [&]() {
-        if (event_core && next_trace < requests.size())
+        if (next_trace < requests.size())
             queue.push({ requests[next_trace].arrival_s,
                          FleetEventKind::Arrival, -1,
                          requests[next_trace].id });
     };
     const auto pushReofferFront = [&]() {
-        if (event_core && !reoffers.empty())
+        if (!reoffers.empty())
             queue.push({ reoffers.front().arrival_s,
                          FleetEventKind::Arrival, -1,
                          reoffers.front().id });
     };
     const auto pushFaultBoundary = [&](int i) {
-        if (!event_core)
-            return;
         const ReplicaState &st = at(i);
         const auto &sp = spans[static_cast<std::size_t>(i)];
         if (st.span_ix < sp.size())
@@ -283,8 +276,6 @@ FleetSimulator::run(const std::vector<serve::Request> &requests,
     // request_id = -2 marking them apart from down-span
     // boundaries: same replica, same instant, independent cursors.
     const auto pushSlowdownBoundary = [&](int i) {
-        if (!event_core)
-            return;
         const ReplicaState &st = at(i);
         const auto &tl = timelines[static_cast<std::size_t>(i)];
         if (st.slow_ix < tl.size())
@@ -331,37 +322,26 @@ FleetSimulator::run(const std::vector<serve::Request> &requests,
      */
     std::vector<int> needy; ///< advanceAll's reused work list
     const auto advanceAll = [&](double horizon) {
-        if (event_core) {
-            // advance() is a strict no-op for a session with no
-            // work left or a clock already at the horizon, so only
-            // the needy sessions are dispatched — and a lone needy
-            // session skips the pool fan-out entirely.
-            needy.clear();
-            for (int i = 0; i < pool; ++i) {
-                const ReplicaState &st = at(i);
-                if (st.session && st.session->workLeft()
-                    && st.session->now < horizon)
-                    needy.push_back(i);
-            }
-            if (needy.size() == 1 || options_.threads == 1) {
-                // One session — or a one-worker pool, where the
-                // fan-out would serialize anyway and only add two
-                // futex round-trips per session: advance inline.
-                for (const int i : needy)
-                    sim.advance(*at(i).session, horizon);
-            } else if (!needy.empty()) {
-                parallelMap(advance_pool, needy,
-                            [&](const int &i) {
-                                sim.advance(*at(i).session,
-                                            horizon);
-                                return 0;
-                            });
-            }
-        } else {
-            parallelMap(advance_pool, indices, [&](const int &i) {
-                ReplicaState &st = at(i);
-                if (st.session)
-                    sim.advance(*st.session, horizon);
+        // advance() is a strict no-op for a session with no work
+        // left or a clock already at the horizon, so only the needy
+        // sessions are dispatched — and a lone needy session skips
+        // the pool fan-out entirely.
+        needy.clear();
+        for (int i = 0; i < pool; ++i) {
+            const ReplicaState &st = at(i);
+            if (st.session && st.session->workLeft()
+                && st.session->now < horizon)
+                needy.push_back(i);
+        }
+        if (needy.size() == 1 || options_.threads == 1) {
+            // One session — or a one-worker pool, where the fan-out
+            // would serialize anyway and only add two futex
+            // round-trips per session: advance inline.
+            for (const int i : needy)
+                sim.advance(*at(i).session, horizon);
+        } else if (!needy.empty()) {
+            parallelMap(advance_pool, needy, [&](const int &i) {
+                sim.advance(*at(i).session, horizon);
                 return 0;
             });
         }
@@ -379,23 +359,6 @@ FleetSimulator::run(const std::vector<serve::Request> &requests,
                 st.draining = false;
                 st.active = false;
             }
-    };
-
-    /** Earliest unconsumed fault boundary (down-span edge or
-     *  slowdown step) over all replicas. */
-    const auto nextFaultBoundary = [&]() {
-        double t = kInf;
-        for (int i = 0; i < pool; ++i) {
-            const ReplicaState &st = at(i);
-            const auto &sp = spans[static_cast<std::size_t>(i)];
-            if (st.span_ix < sp.size())
-                t = std::min(t, st.in_span ? sp[st.span_ix].end_s
-                                           : sp[st.span_ix].start_s);
-            const auto &tl = timelines[static_cast<std::size_t>(i)];
-            if (st.slow_ix < tl.size())
-                t = std::min(t, tl[st.slow_ix].time_s);
-        }
-        return t;
     };
 
     /**
@@ -684,13 +647,11 @@ FleetSimulator::run(const std::vector<serve::Request> &requests,
         return t;
     };
 
-    if (event_core) {
-        pushTraceFront();
-        pushReofferFront();
-        for (int i = 0; i < pool; ++i) {
-            pushFaultBoundary(i);
-            pushSlowdownBoundary(i);
-        }
+    pushTraceFront();
+    pushReofferFront();
+    for (int i = 0; i < pool; ++i) {
+        pushFaultBoundary(i);
+        pushSlowdownBoundary(i);
     }
     fm.peak_serving = servingCount();
     double last_t = 0; ///< latest finite event time processed
@@ -706,22 +667,10 @@ FleetSimulator::run(const std::vector<serve::Request> &requests,
         const bool swork = sessionWork();
         if (!arrivals_left && !swork && held.empty())
             break;
-        // Earliest arrival-or-fault boundary.  The event core reads
-        // it off the heap (sources re-arm on every front change);
-        // legacy rescans both sources.  Both compute the same
-        // minimum — see fleet/event_queue.hh for the argument.
-        const double tAF = [&]() {
-            if (event_core) {
-                const auto top = queue.peek(eventValid);
-                return top ? top->time : kInf;
-            }
-            double t = kInf;
-            if (next_trace < requests.size())
-                t = requests[next_trace].arrival_s;
-            if (!reoffers.empty())
-                t = std::min(t, reoffers.front().arrival_s);
-            return std::min(t, nextFaultBoundary());
-        }();
+        // Earliest arrival-or-fault boundary, read off the event
+        // queue (sources re-arm on every front change).
+        const auto top = queue.peek(eventValid);
+        const double tAF = top ? top->time : kInf;
         const double tT = scaling
                 && (swork || arrivals_left
                     || (!held.empty() && canActivate()))

@@ -120,13 +120,14 @@ struct FleetRunOptions
  * calibrates the replicas' shared cost tables (the expensive
  * part); run() replays traces and is const.
  *
- * `serve.core` selects both the replica sessions' loop and the
- * shared-clock loop.  Legacy rescans every source per iteration
- * (fault boundaries, session work); EventHeap keeps boundaries in a
- * deterministic min-heap (see fleet/event_queue.hh) and only
- * advances sessions that have work behind the horizon.
- * Bit-identical by contract — the differential replay harness pins
- * it.
+ * The shared-clock loop keeps every source's next boundary (trace
+ * and re-offer fronts, each replica's fault and slowdown steps) in
+ * a deterministic min-heap (see fleet/event_queue.hh) and advances
+ * only the sessions that have work behind the horizon.  At one
+ * boundary the events apply in the fixed order Fault < Arrival <
+ * Tick: fault transitions (replica-index order), then health and
+ * brownout updates, then arrivals in (arrival, id) order, then the
+ * autoscaler tick.
  */
 class FleetSimulator
 {

@@ -215,11 +215,12 @@ ServeCostModel::decodeStep(std::int64_t batch,
     // reads at most the two rows bracketing the batch, so only
     // those two cache-axis interps are evaluated.  Both brackets
     // are searched once and shared by the seconds and joules
-    // tables.  The arithmetic is the full-scan version's verbatim
-    // (same operands, same order; bracket() clamps as its
-    // std::clamp does), so the seconds are bit-identical to
-    // decodeStepSecondsFullScan — the differential replay harness
-    // holds both cores to that.
+    // tables.  The arithmetic is the full-scan form's verbatim
+    // (interpolate every row along the cache axis, then along the
+    // batch axis: same operands, same order; bracket() clamps as
+    // std::clamp would), so the results are bit-identical to it —
+    // tests/serve/cost_model_test.cc holds decodeStep to that
+    // reference.
     const Bracket rows =
         bracket(batches_, static_cast<double>(batch));
     const Bracket cols = bracket(cache_lens_, mean_cache_len);
@@ -246,25 +247,6 @@ ServeCostModel::decodeStepJoules(std::int64_t batch,
                                  double mean_cache_len) const
 {
     return decodeStep(batch, mean_cache_len).joules;
-}
-
-double
-ServeCostModel::decodeStepSecondsFullScan(
-    std::int64_t batch, double mean_cache_len) const
-{
-    if (batch <= 0)
-        tf_fatal("decode batch must be positive, got ", batch);
-    const double b = std::clamp(
-        static_cast<double>(batch),
-        static_cast<double>(batches_.front()),
-        static_cast<double>(batches_.back()));
-    // Interpolate along the cache axis per calibrated batch, then
-    // along the batch axis.
-    std::vector<double> at_len;
-    at_len.reserve(batches_.size());
-    for (const auto &row : step_s_)
-        at_len.push_back(interp(cache_lens_, row, mean_cache_len));
-    return interp(batches_, at_len, b);
 }
 
 double

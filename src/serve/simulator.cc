@@ -69,18 +69,6 @@ calibratedCostModel(const arch::ArchConfig &arch,
 
 } // namespace
 
-const char *
-toString(SimCoreKind core)
-{
-    switch (core) {
-    case SimCoreKind::Legacy:
-        return "legacy";
-    case SimCoreKind::EventHeap:
-        return "event-heap";
-    }
-    tf_panic("unknown SimCoreKind ", static_cast<int>(core));
-}
-
 std::string
 ServeMetrics::summary() const
 {
@@ -169,253 +157,6 @@ ServeSimulator::advance(ServeSession &s, double horizon_s) const
     if (!(s.slowdown >= 1.0))
         tf_fatal("session slowdown must be >= 1, got ",
                  s.slowdown);
-    if (options_.core == SimCoreKind::Legacy)
-        advanceLegacy(s, horizon_s);
-    else
-        advanceEvent(s, horizon_s);
-}
-
-void
-ServeSession::pushRunning(const Request &req, double first_token_s,
-                          std::int64_t generated)
-{
-    Slot slot;
-    slot.req = req;
-    slot.first_token_s = first_token_s;
-    slot.finish_round =
-        metrics.decode_rounds + (req.output_len - generated);
-    ctx_active_ += req.prompt_len + generated;
-    finishers_.emplace_back(slot.finish_round, slots_.size());
-    std::push_heap(finishers_.begin(), finishers_.end(),
-                   std::greater<>());
-    slots_.push_back(slot);
-    live_ += 1;
-}
-
-std::vector<InFlightRequest>
-ServeSession::takeRunning()
-{
-    std::vector<InFlightRequest> out;
-    out.reserve(static_cast<std::size_t>(live_));
-    for (const Slot &slot : slots_) {
-        if (!slot.alive)
-            continue;
-        InFlightRequest r;
-        r.req = slot.req;
-        r.first_token_s = slot.first_token_s;
-        r.generated = slot.req.output_len
-            - (slot.finish_round - metrics.decode_rounds);
-        out.push_back(r);
-    }
-    slots_.clear();
-    finishers_.clear();
-    ctx_active_ = 0;
-    live_ = 0;
-    return out;
-}
-
-void
-ServeSession::compactSlots()
-{
-    slots_.erase(std::remove_if(slots_.begin(), slots_.end(),
-                                [](const Slot &slot) {
-                                    return !slot.alive;
-                                }),
-                 slots_.end());
-    // The heap holds exactly the live slots.  Re-keying them by
-    // their new (monotonically remapped) indices keeps every key
-    // comparison as it was, so the pop order is unchanged.
-    finishers_.clear();
-    for (std::size_t i = 0; i < slots_.size(); ++i)
-        finishers_.emplace_back(slots_[i].finish_round, i);
-    std::make_heap(finishers_.begin(), finishers_.end(),
-                   std::greater<>());
-}
-
-void
-ServeSimulator::advanceLegacy(ServeSession &s,
-                              double horizon_s) const
-{
-    ServeMetrics &m = s.metrics;
-
-    // The reference loop scans a plain vector; the session holds
-    // the event core's slots, so convert at this boundary.
-    // The guard hands the batch back on every exit, a throw
-    // included, so a caught fatal never loses in-flight requests.
-    std::vector<InFlightRequest> running = s.takeRunning();
-    struct Restore
-    {
-        ServeSession &s;
-        std::vector<InFlightRequest> &running;
-        ~Restore()
-        {
-            for (const InFlightRequest &r : running)
-                s.pushRunning(r.req, r.first_token_s, r.generated);
-        }
-    } restore{s, running};
-
-    const auto reservation = [&](const Request &r) {
-        return words_per_token_
-            * static_cast<double>(r.peakContext());
-    };
-    const auto finish = [&](const InFlightRequest &r, double now) {
-        m.completed += 1;
-        m.latency_s.add(now - r.req.arrival_s);
-        if (r.req.output_len > 1)
-            m.tpot_s.add((now - r.first_token_s)
-                         / static_cast<double>(r.req.output_len
-                                               - 1));
-        s.cache.release(reservation(r.req));
-    };
-
-    while (s.next < s.pending.size() || !s.queue.empty()
-           || !running.empty()) {
-        // Horizon check at the round boundary only: the caller's
-        // world change (a fault, a replan) lands between rounds,
-        // never mid-round.  With horizon_s = +inf this never fires
-        // and the loop is the original run() loop.
-        if (s.now >= horizon_s)
-            break;
-
-        // Pull every arrival up to the current clock into the
-        // bounded queue; overflow is shed immediately.
-        while (s.next < s.pending.size()
-               && s.pending[s.next].arrival_s <= s.now) {
-            if (static_cast<std::int64_t>(s.queue.size())
-                >= options_.max_queue) {
-                m.rejected += 1;
-                s.shed_log.push_back(
-                    { s.pending[s.next], s.now });
-            } else {
-                s.queue.push_back(s.pending[s.next]);
-                m.peak_queue = std::max(
-                    m.peak_queue,
-                    static_cast<std::int64_t>(s.queue.size()));
-            }
-            ++s.next;
-        }
-
-        // FIFO admission: the head joins as soon as a decode lane
-        // and its peak-context KV reservation are free.  A head
-        // that could never fit even on an idle system is rejected;
-        // a head that merely does not fit *now* blocks the queue
-        // (no overtaking, so admission order is deterministic and
-        // starvation-free).
-        std::vector<InFlightRequest> admitted;
-        while (!s.queue.empty()
-               && static_cast<std::int64_t>(running.size()
-                                            + admitted.size())
-                   < options_.max_batch) {
-            const Request &head = s.queue.front();
-            const double words = reservation(head);
-            if (!s.cache.fitsAlone(words)) {
-                m.rejected += 1;
-                s.shed_log.push_back({ head, s.now });
-                s.queue.pop_front();
-                continue;
-            }
-            if (!s.cache.tryReserve(words))
-                break;
-            m.queue_wait_s.add(s.now - head.arrival_s);
-            InFlightRequest r;
-            r.req = head;
-            admitted.push_back(r);
-            s.queue.pop_front();
-        }
-
-        if (!admitted.empty()) {
-            // Prefill round: newly admitted prompts run back to
-            // back (prefill is compute-bound at batch 1, so serial
-            // pricing is the conservative model); each produces its
-            // request's first token.
-            double dt = 0;
-            for (const InFlightRequest &r : admitted) {
-                dt += cost_.prefillSeconds(r.req.prompt_len);
-                m.prefill_energy_j +=
-                    cost_.prefillJoules(r.req.prompt_len);
-            }
-            s.now += dt * s.slowdown;
-            m.prefill_rounds += 1;
-            for (InFlightRequest &r : admitted) {
-                r.first_token_s = s.now;
-                r.generated = 1;
-                m.generated_tokens += 1;
-                m.ttft_s.add(s.now - r.req.arrival_s);
-                if (r.generated >= r.req.output_len)
-                    finish(r, s.now);
-                else
-                    running.push_back(r);
-            }
-            m.peak_running = std::max(
-                m.peak_running,
-                static_cast<std::int64_t>(running.size()));
-            continue;
-        }
-
-        if (!running.empty()) {
-            // Decode round: every running request emits one token;
-            // the step is priced at the batch's mean cache length
-            // (exact for the affine-in-cache-length cost model).
-            double ctx = 0;
-            for (const InFlightRequest &r : running)
-                ctx += static_cast<double>(r.req.prompt_len
-                                           + r.generated);
-            const auto batch =
-                static_cast<std::int64_t>(running.size());
-            s.now += cost_.decodeStepSecondsFullScan(
-                           batch, ctx / static_cast<double>(batch))
-                * s.slowdown;
-            // Same (batch, mean) arguments price the step's energy
-            // off the joules table — the same arithmetic the event
-            // core's fused lookup runs, so metered energy is
-            // core-invariant.
-            m.decode_energy_j += cost_.decodeStepJoules(
-                batch, ctx / static_cast<double>(batch));
-            m.decode_rounds += 1;
-            std::vector<InFlightRequest> still;
-            still.reserve(running.size());
-            for (InFlightRequest &r : running) {
-                r.generated += 1;
-                m.generated_tokens += 1;
-                if (r.generated >= r.req.output_len)
-                    finish(r, s.now);
-                else
-                    still.push_back(r);
-            }
-            running = std::move(still);
-            continue;
-        }
-
-        // Idle: jump the clock to the next arrival (capped at the
-        // horizon so a fault epoch never swallows arrivals that
-        // belong to the next one).
-        if (s.next < s.pending.size()) {
-            const double arrival = s.pending[s.next].arrival_s;
-            if (arrival >= horizon_s) {
-                s.now = std::max(s.now, horizon_s);
-                break;
-            }
-            s.now = std::max(s.now, arrival);
-            continue;
-        }
-        // Nothing admitted, running, or arriving.  If the whole
-        // round's progress was rejections the queue is empty and
-        // the loop condition ends the replay; a still-populated
-        // queue would spin forever, so fail loud (defensive:
-        // admission always makes progress when nothing is running).
-        if (s.queue.empty())
-            continue;
-        tf_fatal("serve loop wedged with ", s.queue.size(),
-                 " queued requests (completed ", m.completed,
-                 ", rejected ", m.rejected, " of ", m.offered,
-                 ")");
-    }
-}
-
-void
-ServeSimulator::advanceEvent(ServeSession &s,
-                             double horizon_s) const
-{
     ServeMetrics &m = s.metrics;
 
     // The running batch stays in the session's event form between
@@ -441,10 +182,14 @@ ServeSimulator::advanceEvent(ServeSession &s,
 
     std::vector<Request> admitted;
     while (s.workLeft()) {
+        // Horizon check at the round boundary only: the caller's
+        // world change (a fault, a replan) lands between rounds,
+        // never mid-round.  With horizon_s = +inf this never fires.
         if (s.now >= horizon_s)
             return;
 
-        // Arrival pull: verbatim legacy.
+        // Pull every arrival up to the current clock into the
+        // bounded queue; overflow is shed immediately.
         while (s.next < s.pending.size()
                && s.pending[s.next].arrival_s <= s.now) {
             if (static_cast<std::int64_t>(s.queue.size())
@@ -461,8 +206,12 @@ ServeSimulator::advanceEvent(ServeSession &s,
             ++s.next;
         }
 
-        // FIFO admission: verbatim legacy, with the live count
-        // standing in for running.size().
+        // FIFO admission: the head joins as soon as a decode lane
+        // and its peak-context KV reservation are free.  A head
+        // that could never fit even on an idle system is rejected;
+        // a head that merely does not fit *now* blocks the queue
+        // (no overtaking, so admission order is deterministic and
+        // starvation-free).
         admitted.clear();
         while (!s.queue.empty()
                && s.live_ + static_cast<std::int64_t>(
@@ -484,9 +233,11 @@ ServeSimulator::advanceEvent(ServeSession &s,
         }
 
         if (!admitted.empty()) {
-            // Prefill round: pricing and per-request metric order
-            // verbatim legacy; survivors enter the finish heap
-            // instead of the scan vector.
+            // Prefill round: newly admitted prompts run back to
+            // back (prefill is compute-bound at batch 1, so serial
+            // pricing is the conservative model); each produces its
+            // request's first token, and the unfinished ones enter
+            // the finish heap.
             double dt = 0;
             for (const Request &r : admitted) {
                 dt += cost_.prefillSeconds(r.prompt_len);
@@ -501,16 +252,19 @@ ServeSimulator::advanceEvent(ServeSession &s,
                 if (r.output_len <= 1)
                     finish(r, s.now, s.now);
                 else
-                    s.pushRunning(r, s.now, 1);
+                    s.pushRunning(r, s.now);
             }
             m.peak_running = std::max(m.peak_running, s.live_);
             continue;
         }
 
         if (s.live_ > 0) {
-            // Decode round, event form: the batch context sum and
-            // the finisher set are already known, so the round is
-            // O(1) plus O(log n) per finisher.
+            // Decode round: every running request emits one token;
+            // the step is priced at the batch's mean cache length
+            // (exact for the affine-in-cache-length cost model).
+            // The context sum and the finisher set are already
+            // known, so the round is O(1) plus O(log n) per
+            // finisher.
             const std::int64_t batch = s.live_;
             const StepCost step = cost_.decodeStep(
                 batch, static_cast<double>(s.ctx_active_)
@@ -545,7 +299,9 @@ ServeSimulator::advanceEvent(ServeSession &s,
             continue;
         }
 
-        // Idle: verbatim legacy.
+        // Idle: jump the clock to the next arrival (capped at the
+        // horizon so a fault epoch never swallows arrivals that
+        // belong to the next one).
         if (s.next < s.pending.size()) {
             const double arrival = s.pending[s.next].arrival_s;
             if (arrival >= horizon_s) {
@@ -555,6 +311,11 @@ ServeSimulator::advanceEvent(ServeSession &s,
             s.now = std::max(s.now, arrival);
             continue;
         }
+        // Nothing admitted, running, or arriving.  If the whole
+        // round's progress was rejections the queue is empty and
+        // the loop condition ends the replay; a still-populated
+        // queue would spin forever, so fail loud (defensive:
+        // admission always makes progress when nothing is running).
         if (s.queue.empty())
             continue;
         tf_fatal("serve loop wedged with ", s.queue.size(),
@@ -564,14 +325,60 @@ ServeSimulator::advanceEvent(ServeSession &s,
     }
 }
 
+void
+ServeSession::pushRunning(const Request &req, double first_token_s)
+{
+    Slot slot;
+    slot.req = req;
+    slot.first_token_s = first_token_s;
+    slot.finish_round = metrics.decode_rounds + (req.output_len - 1);
+    ctx_active_ += req.prompt_len + 1;
+    finishers_.emplace_back(slot.finish_round, slots_.size());
+    std::push_heap(finishers_.begin(), finishers_.end(),
+                   std::greater<>());
+    slots_.push_back(slot);
+    live_ += 1;
+}
+
+void
+ServeSession::compactSlots()
+{
+    slots_.erase(std::remove_if(slots_.begin(), slots_.end(),
+                                [](const Slot &slot) {
+                                    return !slot.alive;
+                                }),
+                 slots_.end());
+    // The heap holds exactly the live slots.  Re-keying them by
+    // their new (monotonically remapped) indices keeps every key
+    // comparison as it was, so the pop order is unchanged.
+    finishers_.clear();
+    for (std::size_t i = 0; i < slots_.size(); ++i)
+        finishers_.emplace_back(slots_[i].finish_round, i);
+    std::make_heap(finishers_.begin(), finishers_.end(),
+                   std::greater<>());
+}
+
 std::vector<InFlightRequest>
 ServeSimulator::drainRunning(ServeSession &s) const
 {
-    std::vector<InFlightRequest> drained = s.takeRunning();
-    for (const InFlightRequest &r : drained)
+    std::vector<InFlightRequest> drained;
+    drained.reserve(static_cast<std::size_t>(s.live_));
+    for (const ServeSession::Slot &slot : s.slots_) {
+        if (!slot.alive)
+            continue;
+        InFlightRequest r;
+        r.req = slot.req;
+        r.first_token_s = slot.first_token_s;
+        r.generated = slot.req.output_len
+            - (slot.finish_round - s.metrics.decode_rounds);
+        drained.push_back(r);
         s.cache.release(words_per_token_
-                        * static_cast<double>(
-                            r.req.peakContext()));
+                        * static_cast<double>(r.req.peakContext()));
+    }
+    s.slots_.clear();
+    s.finishers_.clear();
+    s.ctx_active_ = 0;
+    s.live_ = 0;
     return drained;
 }
 

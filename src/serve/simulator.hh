@@ -40,47 +40,11 @@
 namespace transfusion::serve
 {
 
-/**
- * Which implementation of the (identical) simulation semantics the
- * event loop runs.  Both cores are bit-identical by contract — the
- * differential replay harness (tests/integration/replay_diff_test)
- * holds them to it — so the choice is purely about speed:
- *
- *   Legacy    — the original per-round linear scans: every decode
- *               round walks the whole running batch (context sum,
- *               token bump, compaction) and prices the step off the
- *               full interpolation grid.  Kept as the reference
- *               implementation and bench baseline; it copies the
- *               session's running batch into its own vector on
- *               entry and back on exit.
- *   EventHeap — event-driven core: finish times are precomputed
- *               (every running request emits exactly one token per
- *               decode round, so its finish round is known at
- *               admission) and kept in a min-heap keyed
- *               (finish_round, admission_seq); the batch context
- *               sum is maintained incrementally as exact integer
- *               arithmetic.  The heap lives in the ServeSession and
- *               persists across advance() calls, and each round is
- *               priced with one fused (seconds, joules) lookup.
- *               Decode rounds cost O(1) + O(log n) per finisher
- *               instead of O(batch), and an advance() call costs
- *               only the rounds it runs.
- */
-enum class SimCoreKind
-{
-    Legacy,
-    EventHeap,
-};
-
-const char *toString(SimCoreKind core);
-
 /** Serving-system configuration. */
 struct ServeOptions
 {
     schedule::StrategyKind strategy =
         schedule::StrategyKind::TransFusion;
-    /** Event-loop implementation (semantics are core-invariant). */
-    SimCoreKind core = SimCoreKind::EventHeap;
     /** Decode lanes: most requests co-scheduled per step. */
     std::int64_t max_batch = 32;
     /**
@@ -260,12 +224,9 @@ struct ServeSession
      *  finish-round then admission order. */
     using FinishKey = std::pair<std::int64_t, std::size_t>;
 
-    /** Append a running request (admission order). */
-    void pushRunning(const Request &req, double first_token_s,
-                     std::int64_t generated);
-    /** Remove and return the running batch, admission order; KV
-     *  reservations are left to the caller. */
-    std::vector<InFlightRequest> takeRunning();
+    /** Append a just-prefilled request (one token generated) to
+     *  the running batch, admission order. */
+    void pushRunning(const Request &req, double first_token_s);
     /**
      * Drop dead slots and re-key the heap by the new indices.  The
      * remap is monotone and the keys unique, so the pop order —
@@ -282,8 +243,8 @@ struct ServeSession
     /**
      * Sum of (prompt_len + generated) over live slots.  Integer
      * sums below 2^53 are exact in doubles regardless of
-     * association, so tracking it as int64 is bit-identical to the
-     * legacy per-round double accumulation.
+     * association, so tracking it as int64 is bit-identical to
+     * summing the batch's contexts in doubles every round.
      */
     std::int64_t ctx_active_ = 0;
     /** Live slots. */
@@ -341,6 +302,14 @@ class ServeSimulator
      * flight when the horizon passes completes first, so a fault
      * at time T takes effect at the first boundary >= T).  With
      * `horizon_s` = +infinity this is exactly the run() loop.
+     *
+     * Every running request emits exactly one token per decode
+     * round, so its finish round is known at admission: the
+     * session keeps a min-heap keyed (finish_round, admission
+     * order) and the batch context sum as exact integer
+     * arithmetic.  A decode round costs O(1) plus O(log n) per
+     * finisher, priced with one fused (seconds, joules) lookup, and
+     * a call costs only the rounds it runs.
      */
     void advance(ServeSession &session, double horizon_s) const;
 
@@ -396,13 +365,6 @@ class ServeSimulator
     double kvCapacityWordsUsed() const { return capacity_words_; }
 
   private:
-    /** The original per-round scanning loop (reference core). */
-    void advanceLegacy(ServeSession &session,
-                       double horizon_s) const;
-    /** The finish-heap core; bit-identical to advanceLegacy. */
-    void advanceEvent(ServeSession &session,
-                      double horizon_s) const;
-
     ServeOptions options_;
     ServeCostModel cost_;
     double words_per_token_ = 0;

@@ -2,12 +2,13 @@
  * @file
  * Seeded chaos-invariant sweep: kSeeds seeds of the shared harness
  * (bench/chaos_harness.hh), each replaying kReplicas randomized
- * fault schedules across routing policies, health/brownout
- * configurations and both sim cores, with the harness's five
- * invariants — conservation, core agreement, thread independence,
- * termination and exact recovery — checked on every run.  The
- * ctest TIMEOUT property on this binary is the backstop for a hung
- * loop (invariant 4).
+ * fault schedules across routing policies and health/brownout
+ * configurations, with the harness's five invariants —
+ * conservation, the committed Legacy-core digest, thread
+ * independence, termination and exact recovery — checked on every
+ * run.  Every seed here has a committed digest, so a seed the
+ * oracle did not check fails.  The ctest TIMEOUT property on this
+ * binary is the backstop for a hung loop (invariant 4).
  *
  * Seeds fan out over the ThreadPool; gtest assertions are not
  * thread-safe, so workers return failure strings and the main
@@ -23,6 +24,7 @@
 
 #include "chaos_harness.hh"
 #include "common/thread_pool.hh"
+#include "metrics_diff.hh"
 
 namespace transfusion::bench::chaos
 {
@@ -33,6 +35,8 @@ constexpr int kSeeds = 70; ///< x kReplicas schedules per seed
 
 TEST(Chaos, InvariantsHoldAcrossSeededFaultSchedules)
 {
+    const DigestFile &oracle = legacyCoreDigests();
+    ASSERT_EQ(oracle.error(), "");
     // Warm the process-wide cost-table cache once so the parallel
     // constructions below don't race to calibrate.
     warmCostTables();
@@ -46,10 +50,15 @@ TEST(Chaos, InvariantsHoldAcrossSeededFaultSchedules)
             return runSeed(seed);
         });
     std::ostringstream failures;
-    for (const SeedResult &r : results)
+    for (const SeedResult &r : results) {
         if (!r.failure.empty())
             failures << "seed " << r.seed << ": " << r.failure
                      << "\n";
+        if (!r.oracle_checked)
+            failures << "seed " << r.seed << ": " << oracle.path()
+                     << " has no digest for chaos/seed" << r.seed
+                     << "\n";
+    }
     EXPECT_EQ(failures.str(), "");
     // The sweep really covered the advertised schedule count.
     EXPECT_GE(kSeeds * kReplicas, 200);

@@ -1,24 +1,29 @@
 /**
  * @file
- * Differential replay harness: the legacy linear-scan simulation
- * cores and the event-heap cores (serve::SimCoreKind) must be
- * observably indistinguishable — not approximately, bitwise.  Every
- * cell of a seed x routing-policy x fault-schedule grid replays the
- * same trace through both cores and compares the FleetMetrics field
- * by field, the latency histograms sample-set by sample-set, and
- * the captured RunReports string by string.
+ * Differential replay harness.  The Legacy linear-scan simulation
+ * cores were deleted after their outputs were captured as committed
+ * digests (tests/integration/data/legacy_core_digests.txt, written
+ * while both cores existed and agreed bitwise on every cell).  Every
+ * cell of a seed x routing-policy x fault-schedule grid, and every
+ * serve-only seed, replays through the event core and must match
+ * its captured digest: the FleetMetrics field by field and the
+ * latency histograms sample-set by sample-set (through the
+ * canonical serialization of bench/metrics_diff.hh), and the
+ * RunReport string (in builds that record reports).
  *
  * The same harness pins the CostTableCache's transparency: a fleet
  * calibrated with memoization disabled must produce the same
  * report as one served from the cache, including the replayed
  * construction-time observability.
  *
- * This is the lock the tentpole rework turns: any divergence a
- * future core change introduces fails here first, with the exact
- * grid cell named.
+ * Any divergence a core change introduces fails here first, with
+ * the exact grid cell and digest-file line named.
  */
 
+#include <cstdio>
+#include <fstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -49,12 +54,11 @@ diffWorkload()
 }
 
 fleet::FleetOptions
-fleetOptions(serve::SimCoreKind core)
+fleetOptions()
 {
     fleet::FleetOptions o;
     o.serve.strategy = schedule::StrategyKind::TransFusion;
     o.serve.max_batch = 4;
-    o.serve.core = core;
     o.serve.cost.cache_samples = 3;
     o.serve.cost.prefill_samples = 3;
     o.serve.cost.evaluator.mcts.iterations = 32;
@@ -81,8 +85,7 @@ faultCases()
         { 0.40, fault::FaultKind::ChipRecovery, 0 });
 
     // A degraded-then-restored link opens no down span, so this
-    // case pins that the event core agrees with legacy about
-    // *non*-boundaries too.
+    // case pins the event core's *non*-boundaries too.
     fault::FaultSchedule degrade;
     fault::FaultEvent slow;
     slow.time_s = 0.05;
@@ -118,23 +121,19 @@ replay(const fleet::FleetSimulator &fleet,
 }
 
 /**
- * The full grid: >= 3 seeds x all 5 policies x {empty, chip-loss,
- * link-degrade}, legacy vs event cores side by side.  Only the
- * replay is per-cell; both fleets are calibrated once (cores share
- * cost tables by construction, which is itself part of the claim).
+ * The full grid: 3 seeds x all 5 policies x {empty, chip-loss,
+ * link-degrade}, each cell's event-core replay against the Legacy
+ * core's captured digest.  Only the replay is per-cell; the fleet
+ * is calibrated once.
  */
 TEST(ReplayDiff, FleetGridLegacyVsEventHeapBitwise)
 {
-    const auto cluster = multichip::edgeCluster(1);
-    const auto cfg = model::t5Small();
+    const bench::DigestFile &legacy = bench::legacyCoreDigests();
+    ASSERT_EQ(legacy.error(), "");
     const auto wl = diffWorkload();
-
-    const auto legacy = fleet::FleetSimulator::uniform(
-        3, cluster, cfg, wl,
-        fleetOptions(serve::SimCoreKind::Legacy));
     const auto event = fleet::FleetSimulator::uniform(
-        3, cluster, cfg, wl,
-        fleetOptions(serve::SimCoreKind::EventHeap));
+        3, multichip::edgeCluster(1), model::t5Small(), wl,
+        fleetOptions());
 
     const auto cases = faultCases();
     for (const std::uint64_t seed : { 1u, 2u, 3u }) {
@@ -142,50 +141,103 @@ TEST(ReplayDiff, FleetGridLegacyVsEventHeapBitwise)
         for (const fleet::PolicyKind policy :
              fleet::allPolicies()) {
             for (const FaultCase &fc : cases) {
-                SCOPED_TRACE("seed " + std::to_string(seed)
-                             + " policy "
-                             + fleet::toString(policy) + " faults "
-                             + fc.name);
+                const std::string cell = "fleet/seed"
+                    + std::to_string(seed) + "/"
+                    + fleet::toString(policy) + "/" + fc.name;
                 fleet::FleetRunOptions run;
                 run.policy = policy;
                 run.seed = seed;
                 run.faults = fc.faults;
-                const auto [ml, rl] = replay(legacy, trace, run);
-                const auto [me, re] = replay(event, trace, run);
-                EXPECT_EQ(bench::diffFleetMetrics(ml, me), "");
-                EXPECT_EQ(rl, re)
-                    << obs::RunReport::diff(rl, re);
+                const auto [m, report] = replay(event, trace, run);
+                EXPECT_EQ(legacy.check(
+                              bench::digestOf(cell, m, report)),
+                          "");
             }
         }
     }
 }
 
-/** The serve layer alone, below any router: legacy and event-heap
- *  session loops replay identical traces identically. */
+/** The serve layer alone, below any router: the event-heap session
+ *  loop replays each trace to the Legacy core's captured digest. */
 TEST(ReplayDiff, ServeLegacyVsEventHeapBitwise)
 {
-    const auto arch = arch::edgeArch();
-    const auto cfg = model::t5Small();
+    const bench::DigestFile &legacy = bench::legacyCoreDigests();
+    ASSERT_EQ(legacy.error(), "");
     const auto wl = diffWorkload();
-
-    serve::ServeOptions legacy_opts;
-    legacy_opts.core = serve::SimCoreKind::Legacy;
-    legacy_opts.max_batch = 4;
-    legacy_opts.cost.cache_samples = 3;
-    legacy_opts.cost.prefill_samples = 3;
-    legacy_opts.cost.evaluator.mcts.iterations = 32;
-    serve::ServeOptions event_opts = legacy_opts;
-    event_opts.core = serve::SimCoreKind::EventHeap;
-
-    const serve::ServeSimulator legacy(arch, cfg, wl, legacy_opts);
-    const serve::ServeSimulator event(arch, cfg, wl, event_opts);
+    serve::ServeOptions opts;
+    opts.max_batch = 4;
+    opts.cost.cache_samples = 3;
+    opts.cost.prefill_samples = 3;
+    opts.cost.evaluator.mcts.iterations = 32;
+    const serve::ServeSimulator event(arch::edgeArch(),
+                                      model::t5Small(), wl, opts);
     for (const std::uint64_t seed : { 1u, 7u, 23u }) {
-        SCOPED_TRACE("seed " + std::to_string(seed));
         const auto trace = serve::generateWorkload(wl, seed);
-        EXPECT_EQ(bench::diffServeMetrics(legacy.run(trace),
-                                          event.run(trace)),
+        obs::Registry local;
+        serve::ServeMetrics m;
+        {
+            obs::ScopedRegistry scope(local);
+            m = event.run(trace);
+        }
+        EXPECT_EQ(legacy.check(bench::digestOf(
+                      "serve/seed" + std::to_string(seed), m,
+                      obs::RunReport::capture(local).toString())),
                   "");
     }
+}
+
+/**
+ * The oracle can never pass vacuously: a missing file, a malformed
+ * or duplicate line, or a cell absent from the file fails every
+ * check, naming the file (and the line).
+ */
+TEST(ReplayDiff, DigestFileFailsLoudOnMissingMalformedOrUnknown)
+{
+    const bench::DigestFile &legacy = bench::legacyCoreDigests();
+    ASSERT_EQ(legacy.error(), "");
+    bench::ReplayDigest d;
+    d.cell = "serve/seed999";
+    EXPECT_NE(legacy.check(d).find("no digest for cell serve/seed999"),
+              std::string::npos);
+
+    const std::string dir = ::testing::TempDir();
+    std::vector<std::string> written;
+    const auto loadText = [&](const std::string &name,
+                              const std::string &text) {
+        written.push_back(dir + name);
+        std::ofstream(written.back()) << text;
+        return bench::DigestFile::load(written.back());
+    };
+    d.cell = "a";
+    const std::string good = d.toLine() + "\n";
+    EXPECT_EQ(loadText("digests_good.txt", "# header\n\n" + good)
+                  .check(d),
+              "");
+    const auto missing =
+        bench::DigestFile::load(dir + "digests_absent.txt");
+    EXPECT_NE(missing.check(d).find("digests_absent.txt"),
+              std::string::npos);
+    for (const auto &[name, text, what] :
+         std::vector<std::tuple<std::string, std::string,
+                                std::string>>{
+             { "digests_short.txt", good + "b  1/1/0  0x0p+0\n",
+               "digests_short.txt:2: malformed" },
+             { "digests_hex.txt",
+               "a  1/1/0  0x0p+0  00zz000000000000  "
+               "0000000000000000\n",
+               "digests_hex.txt:1: malformed" },
+             { "digests_dup.txt", good + good,
+               "digests_dup.txt:2: duplicate cell a" },
+             { "digests_empty.txt", "# only a header\n",
+               "digests_empty.txt: no digest lines" } }) {
+        SCOPED_TRACE(name);
+        const auto f = loadText(name, text);
+        EXPECT_NE(f.error().find(what), std::string::npos)
+            << f.error();
+        EXPECT_EQ(f.check(d), f.error());
+    }
+    for (const std::string &path : written)
+        std::remove(path.c_str());
 }
 
 /**
@@ -200,7 +252,7 @@ TEST(ReplayDiff, CostTableCacheIsObservablyTransparent)
     const auto cluster = multichip::edgeCluster(1);
     const auto cfg = model::t5Small();
     const auto wl = diffWorkload();
-    const auto opts = fleetOptions(serve::SimCoreKind::EventHeap);
+    const auto opts = fleetOptions();
     const auto trace = serve::generateWorkload(wl, 5);
     fleet::FleetRunOptions run;
     run.policy = fleet::PolicyKind::PowerOfTwo;

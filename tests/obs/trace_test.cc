@@ -227,6 +227,9 @@ TEST(TraceSession, RecordsLongAndViewNamesExactly)
     for (const TraceEvent &e : session.events())
         names.insert(e.name);
     EXPECT_EQ(names.count("prefix.view_span"), 1u);
+    // The evaluators' spans exist only where TF_SPAN is compiled in.
+    if (!TRANSFUSION_OBS_ENABLED)
+        return;
     for (const std::string name :
          { "evaluator.evaluate/FuseMax",
            "evaluator.evaluate/FuseMax+LayerFuse",

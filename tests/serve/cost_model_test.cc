@@ -175,6 +175,25 @@ decodeLookupReference(const RecordedGrid &g,
     return y0 + frac * (y1 - y0);
 }
 
+/** The full-scan decode pricing the bracket-only lookup replaced:
+ *  interpolate every batch row along the cache axis, then
+ *  interpolate along the batch axis. */
+double
+decodeAllRowsReference(const RecordedGrid &g,
+                        const std::vector<std::vector<double>> &table,
+                        std::int64_t batch, double mean_cache_len)
+{
+    const double b = std::clamp(
+        static_cast<double>(batch),
+        static_cast<double>(g.batches.front()),
+        static_cast<double>(g.batches.back()));
+    std::vector<double> at_len;
+    for (const auto &row : table)
+        at_len.push_back(
+            interpReference(g.cache_lens, row, mean_cache_len));
+    return interpReference(g.batches, at_len, b);
+}
+
 std::uint64_t
 bitsOf(double x)
 {
@@ -187,8 +206,9 @@ bitsOf(double x)
  * Calibrate from smooth injected pricing (seconds rising, joules
  * with a negative cache slope, both with rounding-heavy
  * coefficients), record the grid, and hold decodeStep and its two
- * wrappers bitwise to the reference at every (batch, cache) query:
- * `lens` plus every recorded cache node and segment midpoint.
+ * wrappers bitwise to the reference — and decodeStep's seconds to
+ * the full-scan reference — at every (batch, cache) query: `lens`
+ * plus every recorded cache node and segment midpoint.
  */
 void
 expectDecodeStepMatchesReference(std::vector<std::int64_t> batches,
@@ -249,6 +269,9 @@ expectDecodeStepMatchesReference(std::vector<std::int64_t> batches,
             EXPECT_EQ(bitsOf(c.joules), bitsOf(j));
             EXPECT_EQ(bitsOf(cm.decodeStepSeconds(b, len)), bitsOf(s));
             EXPECT_EQ(bitsOf(cm.decodeStepJoules(b, len)), bitsOf(j));
+            EXPECT_EQ(bitsOf(c.seconds),
+                      bitsOf(decodeAllRowsReference(g, g.step_s, b,
+                                                     len)));
         }
 }
 

@@ -191,18 +191,18 @@ struct EpochEvent
 };
 
 /**
- * Replay `trace` through the epochs `events` delimit.  Epoch e runs
- * on `sims[e % sims.size()]`; with `chop`, every advance stops at
- * each arrival time and takes single-round steps (a horizon just
- * past the clock, inside the next round) between them.
+ * Replay `trace` through the epochs `events` delimit.  With `chop`,
+ * every advance stops at each arrival time and takes single-round
+ * steps (a horizon just past the clock, inside the next round)
+ * between them.
  */
 ServeMetrics
-epochReplay(const std::vector<const ServeSimulator *> &sims,
+epochReplay(const ServeSimulator &sim,
             const std::vector<Request> &trace,
             const std::vector<EpochEvent> &events, bool chop)
 {
-    ServeSession s = sims[0]->startSession(trace);
-    const auto run = [&](const ServeSimulator &sim, double horizon) {
+    ServeSession s = sim.startSession(trace);
+    const auto run = [&](double horizon) {
         if (chop)
             for (const Request &r : trace) {
                 if (r.arrival_s >= horizon)
@@ -213,12 +213,11 @@ epochReplay(const std::vector<const ServeSimulator *> &sims,
         sim.advance(s, horizon);
     };
     for (std::size_t e = 0; e <= events.size(); ++e) {
-        const ServeSimulator &sim = *sims[e % sims.size()];
         if (e == events.size()) {
-            run(sim, std::numeric_limits<double>::infinity());
+            run(std::numeric_limits<double>::infinity());
             break;
         }
-        run(sim, events[e].time_s);
+        run(events[e].time_s);
         if (events[e].slowdown > 0) {
             s.slowdown = events[e].slowdown;
             continue;
@@ -232,7 +231,7 @@ epochReplay(const std::vector<const ServeSimulator *> &sims,
         EXPECT_FALSE(retries.empty());
         sim.injectRequests(s, std::move(retries));
     }
-    return sims[0]->finishSession(s);
+    return sim.finishSession(s);
 }
 
 TEST(ServeSimulator, ChoppedAdvanceIsBitIdenticalToRun)
@@ -248,35 +247,31 @@ TEST(ServeSimulator, ChoppedAdvanceIsBitIdenticalToRun)
     wl.output = { 6, 8 };
     ServeOptions o = fastServe();
     o.max_batch = 8;
-    const ServeSimulator event(arch::edgeArch(), model::t5Small(),
-                               wl, o);
-    o.core = SimCoreKind::Legacy;
-    const ServeSimulator legacy(arch::edgeArch(), model::t5Small(),
-                                wl, o);
+    const ServeSimulator sim(arch::edgeArch(), model::t5Small(), wl,
+                             o);
     const auto trace = generateWorkload(wl, 7);
 
     // Horizons alone: the finish heap persists across hundreds of
     // advance() calls and must replay the uninterrupted run.
-    const ServeMetrics whole = event.run(trace);
+    const ServeMetrics whole = sim.run(trace);
     EXPECT_GE(whole.completed, 200);
     EXPECT_EQ(bench::diffServeMetrics(
-                  whole, epochReplay({ &event }, trace, {}, true)),
+                  whole, epochReplay(sim, trace, {}, true)),
               "");
 
     // World changes between epochs — a slowdown flip and back, then
-    // a drain + re-inject mid-burst — with the cores alternating
-    // per epoch, so both conversions run with requests in flight.
+    // a drain + re-inject mid-burst — with requests in flight; the
+    // chopped replay must match the unchopped one.
     const std::vector<EpochEvent> events = {
         { trace[60].arrival_s, 2.0 },
         { trace[120].arrival_s, 1.0 },
         { trace[180].arrival_s, 0.0 },
     };
     const ServeMetrics epochs =
-        epochReplay({ &event }, trace, events, false);
+        epochReplay(sim, trace, events, false);
     EXPECT_GE(epochs.completed, 200);
     EXPECT_EQ(bench::diffServeMetrics(
-                  epochs, epochReplay({ &event, &legacy }, trace,
-                                      events, true)),
+                  epochs, epochReplay(sim, trace, events, true)),
               "");
 }
 
