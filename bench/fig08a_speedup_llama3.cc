@@ -11,9 +11,10 @@
 #include "common/table.hh"
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace transfusion;
+    const bench::BenchArgs args = bench::parseBenchArgs(argc, argv);
     bench::printBanner(
         "Figure 8a",
         "Llama3 end-to-end speedup over Unfused vs sequence "
@@ -41,7 +42,7 @@ main()
             }
             t.addRow(row);
         }
-        t.print(std::cout);
+        bench::printTable(t, args, std::cout);
         std::cout << "\n";
     }
     return 0;

@@ -10,9 +10,10 @@
 #include "common/table.hh"
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace transfusion;
+    const bench::BenchArgs args = bench::parseBenchArgs(argc, argv);
     bench::printBanner(
         "Figure 10b",
         "PE-array utilization (percent of peak) per model at 64K "
@@ -40,6 +41,6 @@ main()
         }
         t.addRow(row);
     }
-    t.print(std::cout);
+    bench::printTable(t, args, std::cout);
     return 0;
 }

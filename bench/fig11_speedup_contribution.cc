@@ -12,9 +12,10 @@
 #include "model/cascades.hh"
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace transfusion;
+    const bench::BenchArgs args = bench::parseBenchArgs(argc, argv);
     bench::printBanner(
         "Figure 11",
         "Speedup contribution (Eq. 47-48) per sub-layer, "
@@ -37,7 +38,7 @@ main()
                        Table::cell(100 * c[2], 1) + "%",
                        Table::cell(100 * c[3], 1) + "%" });
         }
-        t.print(std::cout);
+        bench::printTable(t, args, std::cout);
         std::cout << "\n";
     }
     return 0;

@@ -10,9 +10,10 @@
 #include "common/table.hh"
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace transfusion;
+    const bench::BenchArgs args = bench::parseBenchArgs(argc, argv);
     bench::printBanner(
         "Figure 12a",
         "Llama3 energy relative to Unfused (lower is better) "
@@ -39,7 +40,7 @@ main()
             }
             t.addRow(row);
         }
-        t.print(std::cout);
+        bench::printTable(t, args, std::cout);
         std::cout << "\n";
     }
     return 0;

@@ -15,7 +15,8 @@ namespace
 
 void
 breakdownTable(const char *arch_name,
-               transfusion::schedule::StrategyKind kind)
+               transfusion::schedule::StrategyKind kind,
+               const transfusion::bench::BenchArgs &args)
 {
     using namespace transfusion;
     const auto arch = arch::archByName(arch_name);
@@ -35,16 +36,17 @@ breakdownTable(const char *arch_name,
                    Table::cell(100 * e.rf_j / total, 1) + "%",
                    Table::cell(100 * e.pe_j / total, 1) + "%" });
     }
-    t.print(std::cout);
+    bench::printTable(t, args, std::cout);
     std::cout << "\n";
 }
 
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace transfusion;
+    const bench::BenchArgs args = bench::parseBenchArgs(argc, argv);
     bench::printBanner(
         "Figure 13",
         "Energy breakdown across the memory hierarchy for "
@@ -53,7 +55,7 @@ main()
     for (auto kind : { schedule::StrategyKind::TransFusion,
                        schedule::StrategyKind::FuseMax }) {
         for (const auto *arch_name : { "cloud", "edge" })
-            breakdownTable(arch_name, kind);
+            breakdownTable(arch_name, kind, args);
     }
     return 0;
 }

@@ -93,23 +93,40 @@ naiveTile(const arch::ArchConfig &arch,
     const auto m0_options = divisorsUpTo(ctx, arch.pe2d.cols);
     const auto d_options = divisorsUpTo(cfg.d_model, 256);
     const auto s_options = divisorsUpTo(cfg.ffn_hidden, 256);
-    for (auto it = p_options.rbegin(); it != p_options.rend(); ++it) {
-        t.p = *it;
-        t.p_prime = tileseek::pPrime(t.p, arch.pe2d.rows);
-        for (auto m0 = m0_options.rbegin(); m0 != m0_options.rend();
-             ++m0) {
-            t.m0 = *m0;
-            for (auto d = d_options.rbegin();
-                 d != d_options.rend(); ++d) {
-                t.d = *d;
-                for (auto s = s_options.rbegin();
-                     s != s_options.rend(); ++s) {
-                    t.s = *s;
-                    if (tileFeasible(t, arch, ctx))
-                        return t;
-                }
-            }
+
+    // Feasibility is monotone in every extent (Table 2 has only
+    // non-negative terms), so the first fit in (p, m0, d, s)
+    // descending order takes, level by level, the largest candidate
+    // that fits with the later levels at their smallest.  Each
+    // level is settled by a binary search over its ascending
+    // candidates instead of a scan of the whole product.
+    auto settle = [&](std::int64_t TileShape::*field,
+                      const std::vector<std::int64_t> &options) {
+        std::size_t fits = 0; // options[0, fits) fit, [end, ..) not
+        std::size_t end = options.size();
+        while (fits < end) {
+            const std::size_t mid = fits + (end - fits) / 2;
+            t.*field = options[mid];
+            t.p_prime = tileseek::pPrime(t.p, arch.pe2d.rows);
+            if (tileFeasible(t, arch, ctx))
+                fits = mid + 1;
+            else
+                end = mid;
         }
+        if (fits == 0)
+            return false;
+        t.*field = options[fits - 1];
+        t.p_prime = tileseek::pPrime(t.p, arch.pe2d.rows);
+        return true;
+    };
+    t.m0 = m0_options.front();
+    t.d = d_options.front();
+    t.s = s_options.front();
+    if (settle(&TileShape::p, p_options)
+            && settle(&TileShape::m0, m0_options)
+            && settle(&TileShape::d, d_options)
+            && settle(&TileShape::s, s_options)) {
+        return t;
     }
     tf_warn("naiveTile: no feasible sequence tile for ",
             cfg.name, " at P=", seq, " on ", arch.name,

@@ -43,12 +43,9 @@ checkShape(const TileShape &t)
               "tile extents must be positive: ", t.toString());
 }
 
-} // namespace
-
 double
-qkvBufferWords(const TileShape &t)
+qkvWords(const TileShape &t)
 {
-    checkShape(t);
     // Table 2: BD(4P + 3*M1*M0) + 3DHE + 2BHP
     const double b = static_cast<double>(t.b);
     const double d = static_cast<double>(t.d);
@@ -62,9 +59,8 @@ qkvBufferWords(const TileShape &t)
 }
 
 double
-mhaBufferWords(const TileShape &t)
+mhaWords(const TileShape &t)
 {
-    checkShape(t);
     // Table 2: BHE(P + 2*M1*M0) + BHP(2 + 2F) + 4*M0*P' + 18*P'
     const double b = static_cast<double>(t.b);
     const double h = static_cast<double>(t.h);
@@ -80,9 +76,8 @@ mhaBufferWords(const TileShape &t)
 }
 
 double
-layerNormBufferWords(const TileShape &t)
+layerNormWords(const TileShape &t)
 {
-    checkShape(t);
     // Table 2: 3BHFP + 4HFP'
     const double b = static_cast<double>(t.b);
     const double h = static_cast<double>(t.h);
@@ -93,9 +88,8 @@ layerNormBufferWords(const TileShape &t)
 }
 
 double
-ffnBufferWords(const TileShape &t)
+ffnWords(const TileShape &t)
 {
-    checkShape(t);
     // Table 2: HF(2BP + S) + S(P + 2) + 2SP'
     const double b = static_cast<double>(t.b);
     const double h = static_cast<double>(t.h);
@@ -107,11 +101,44 @@ ffnBufferWords(const TileShape &t)
         + 2.0 * s * pp;
 }
 
+} // namespace
+
+double
+qkvBufferWords(const TileShape &t)
+{
+    checkShape(t);
+    return qkvWords(t);
+}
+
+double
+mhaBufferWords(const TileShape &t)
+{
+    checkShape(t);
+    return mhaWords(t);
+}
+
+double
+layerNormBufferWords(const TileShape &t)
+{
+    checkShape(t);
+    return layerNormWords(t);
+}
+
+double
+ffnBufferWords(const TileShape &t)
+{
+    checkShape(t);
+    return ffnWords(t);
+}
+
 double
 peakBufferWords(const TileShape &t)
 {
-    return std::max({ qkvBufferWords(t), mhaBufferWords(t),
-                      layerNormBufferWords(t), ffnBufferWords(t) });
+    // One shape check for all four rows: this is the per-leaf
+    // feasibility path of every TileSeek search.
+    checkShape(t);
+    return std::max({ qkvWords(t), mhaWords(t), layerNormWords(t),
+                      ffnWords(t) });
 }
 
 bool

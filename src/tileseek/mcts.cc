@@ -32,35 +32,52 @@ TileSeek::TileSeek(SearchSpace space_, FeasibleFn feasible_,
 }
 
 int
-TileSeek::newNode(Tree &tree, int level) const
+TileSeek::selectChild(const Tree &tree, const Node &n, int k) const
 {
-    Node n;
-    n.level = level;
-    if (level < static_cast<int>(space.depth())) {
-        n.child_of_choice.assign(
-            space.choices[static_cast<std::size_t>(level)].size(),
-            -1);
-    }
-    tree.nodes.push_back(std::move(n));
-    ++tree.nodes_expanded;
-    return static_cast<int>(tree.nodes.size()) - 1;
-}
-
-double
-TileSeek::ucbScore(const Node &child, int parent_visits) const
-{
+    // UCB1 = mean + c * sqrt(log(parent visits) / child visits).
+    // Each term below is the same IEEE operation on the same
+    // operands as scoring every child from scratch, so the choice
+    // is bit-identical: log(parent visits) is taken once per scan,
+    // each child's mean was cached at its last backprop, and the
+    // exploration term is computed once per distinct child visit
+    // count within the scan.
+    //
     // Unvisited children and children of an unvisited parent are
-    // maximally attractive.  The parent_visits guard is defensive:
-    // log(0) -> -inf would otherwise surface as a NaN score that
-    // silently loses every comparison and skews selection.
-    if (child.visits == 0 || parent_visits <= 0)
-        return std::numeric_limits<double>::infinity();
-    const double mean = child.total_reward
-        / static_cast<double>(child.visits);
-    const double explore = options.ucb_c
-        * std::sqrt(std::log(static_cast<double>(parent_visits))
-                    / static_cast<double>(child.visits));
-    return mean + explore;
+    // maximally attractive.  The parent guard is defensive: log(0)
+    // -> -inf would otherwise surface as a NaN score that silently
+    // loses every comparison and skews selection.
+    const bool parent_unvisited = n.visits <= 0;
+    const double log_n = parent_unvisited
+        ? 0.0 : std::log(static_cast<double>(n.visits));
+    const Node *children =
+        &tree.nodes[static_cast<std::size_t>(n.first_child)];
+    // Exploration terms by child visit count, direct-mapped.  Key 0
+    // never matches a lookup: unvisited children score infinity.
+    constexpr int memo_slots = 16;
+    int memo_visits[memo_slots] = {};
+    double memo_explore[memo_slots];
+    int best_choice = 0;
+    double best_score = -1;
+    for (int c = 0; c < k; ++c) {
+        const Node &child = children[c];
+        double score = std::numeric_limits<double>::infinity();
+        if (child.visits != 0 && !parent_unvisited) {
+            const int slot = child.visits & (memo_slots - 1);
+            if (memo_visits[slot] != child.visits) {
+                memo_visits[slot] = child.visits;
+                memo_explore[slot] = options.ucb_c
+                    * std::sqrt(log_n
+                                / static_cast<double>(child.visits));
+            }
+            score = child.mean + memo_explore[slot];
+        }
+        // Strict improvement: ties keep the lowest choice index.
+        if (score > best_score) {
+            best_score = score;
+            best_choice = c;
+        }
+    }
+    return best_choice;
 }
 
 double
@@ -91,95 +108,72 @@ TileSeek::evaluate(Tree &tree, const Assignment &a) const
 }
 
 double
-TileSeek::rolloutAndScore(Tree &tree, Assignment &partial,
-                          std::size_t level) const
+TileSeek::rolloutAndScore(Tree &tree, std::size_t level) const
 {
     for (std::size_t l = level; l < space.depth(); ++l) {
         const auto &cands = space.choices[l];
-        partial[l] = cands[static_cast<std::size_t>(
+        tree.partial[l] = cands[static_cast<std::size_t>(
             tree.rng.nextBelow(cands.size()))];
     }
-    return evaluate(tree, partial);
+    return evaluate(tree, tree.partial);
 }
 
 void
 TileSeek::iterate(Tree &tree) const
 {
-    Assignment partial(space.depth(), 0);
-    std::vector<int> path;
-    int node = 0;
-    path.push_back(node);
+    std::vector<Node> &nodes = tree.nodes;
+    tree.path.clear();
+    tree.path.push_back(0);
+    std::size_t node = 0;
+    std::size_t level = 0;
 
     // Selection: descend while fully expanded, maximizing UCB.
-    while (true) {
-        Node &n = tree.nodes[static_cast<std::size_t>(node)];
-        if (n.level == static_cast<int>(space.depth()))
-            break; // complete assignment reached
-
-        const auto &cands =
-            space.choices[static_cast<std::size_t>(n.level)];
-
-        // Expansion: take the first unexpanded child, if any.
-        int unexpanded = -1;
-        for (std::size_t c = 0; c < cands.size(); ++c) {
-            if (n.child_of_choice[c] < 0) {
-                unexpanded = static_cast<int>(c);
-                break;
+    while (level < space.depth()) {
+        const auto &cands = space.choices[level];
+        const int k = static_cast<int>(cands.size());
+        // Expansion takes the first unexpanded child, if any.
+        const bool expand = nodes[node].expanded < k;
+        int choice = 0;
+        if (expand) {
+            // Reserve the node's whole child block on first use.
+            if (nodes[node].first_child < 0) {
+                nodes[node].first_child =
+                    static_cast<int>(nodes.size());
+                nodes.resize(nodes.size()
+                             + static_cast<std::size_t>(k));
             }
+            choice = nodes[node].expanded++;
+            ++tree.nodes_expanded;
+        } else {
+            // All children expanded: UCB selection.
+            choice = selectChild(tree, nodes[node], k);
         }
-        if (unexpanded >= 0) {
-            const int child = newNode(tree, n.level + 1);
-            // `nodes` may have reallocated; re-reference.
-            auto &nodes = tree.nodes;
-            nodes[static_cast<std::size_t>(node)]
-                .child_of_choice[static_cast<std::size_t>(
-                    unexpanded)] = child;
-            partial[static_cast<std::size_t>(
-                nodes[static_cast<std::size_t>(node)].level)] =
-                cands[static_cast<std::size_t>(unexpanded)];
-            node = child;
-            path.push_back(node);
+        tree.partial[level] = cands[static_cast<std::size_t>(choice)];
+        node = static_cast<std::size_t>(nodes[node].first_child
+                                        + choice);
+        tree.path.push_back(static_cast<int>(node));
+        ++level;
+        if (expand)
             break;
-        }
-
-        // All children expanded: UCB selection.
-        int best_choice = 0;
-        double best_score = -1;
-        for (std::size_t c = 0; c < cands.size(); ++c) {
-            const int child = n.child_of_choice[c];
-            const double score = ucbScore(
-                tree.nodes[static_cast<std::size_t>(child)],
-                n.visits);
-            if (score > best_score) {
-                best_score = score;
-                best_choice = static_cast<int>(c);
-            }
-        }
-        partial[static_cast<std::size_t>(n.level)] =
-            cands[static_cast<std::size_t>(best_choice)];
-        node = n.child_of_choice[static_cast<std::size_t>(
-            best_choice)];
-        path.push_back(node);
     }
 
     // Rollout from the frontier node's depth.
-    const std::size_t frontier_level = static_cast<std::size_t>(
-        tree.nodes[static_cast<std::size_t>(node)].level);
-    const double reward =
-        rolloutAndScore(tree, partial, frontier_level);
+    const double reward = rolloutAndScore(tree, level);
 
     // Backpropagation.
-    for (int v : path) {
-        Node &n = tree.nodes[static_cast<std::size_t>(v)];
+    for (int v : tree.path) {
+        Node &n = nodes[static_cast<std::size_t>(v)];
         n.visits += 1;
         n.total_reward += reward;
+        n.mean = n.total_reward / static_cast<double>(n.visits);
     }
 }
 
 void
 TileSeek::searchTree(Tree &tree) const
 {
-    newNode(tree, 0); // root
+    tree.nodes.emplace_back(); // root
+    tree.nodes_expanded = 1;
     for (int i = 0; i < options.iterations; ++i)
         iterate(tree);
 }
@@ -195,7 +189,8 @@ TileSeek::search()
         // Deterministic fork: tree i draws from seed + i, so tree 0
         // is exactly the single-threaded stream.
         trees.emplace_back(options.seed
-                           + static_cast<std::uint64_t>(i));
+                               + static_cast<std::uint64_t>(i),
+                           space.depth());
     }
 
     if (k == 1) {

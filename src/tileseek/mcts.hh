@@ -63,24 +63,40 @@ class TileSeek
     std::int64_t nodesExpanded() const { return nodes_expanded; }
 
   private:
+    /**
+     * One tree node.  Its children occupy one contiguous block of
+     * `choices[level].size()` slots in the tree's arena, reserved
+     * when the node is first expanded.  Expansion always takes the
+     * first unexpanded choice, so the materialized children are
+     * exactly the prefix [first_child, first_child + expanded).
+     */
     struct Node
     {
-        int level = 0;             ///< depth in the tree
-        std::vector<int> child_of_choice; ///< -1 = unexpanded
-        double total_reward = 0;
+        int first_child = -1; ///< arena slot of choice 0; -1 = none
+        int expanded = 0;     ///< materialized children (a prefix)
         int visits = 0;
+        double total_reward = 0;
+        double mean = 0; ///< total_reward / visits, cached at backprop
     };
 
     /** One independent search tree (the root-parallel unit). */
     struct Tree
     {
-        explicit Tree(std::uint64_t seed) : rng(seed) {}
+        Tree(std::uint64_t seed, std::size_t depth)
+            : rng(seed), partial(depth, 0)
+        {
+            path.reserve(depth + 1);
+        }
 
-        std::vector<Node> nodes;
+        std::vector<Node> nodes; ///< arena; node 0 is the root
         Rng rng;
         std::int64_t nodes_expanded = 0;
         double reward_scale = -1; ///< first feasible cost, shaping
         SearchResult result;
+        /** Per-iteration buffers: every level of `partial` and the
+         *  whole `path` are rewritten by each iteration. */
+        Assignment partial;
+        std::vector<int> path;
     };
 
     SearchSpace space;
@@ -93,14 +109,13 @@ class TileSeek
     /** Run one complete tree; deterministic in its forked seed. */
     void searchTree(Tree &tree) const;
 
-    int newNode(Tree &tree, int level) const;
-    /** UCB1 score of a child given parent visit count. */
-    double ucbScore(const Node &child, int parent_visits) const;
+    /** UCB1 choice among the `k` children of fully expanded `n`. */
+    int selectChild(const Tree &tree, const Node &n, int k) const;
     /** One MCTS iteration; updates the tree's incumbent. */
     void iterate(Tree &tree) const;
-    /** Complete `partial` randomly from `level`; returns reward. */
-    double rolloutAndScore(Tree &tree, Assignment &partial,
-                           std::size_t level) const;
+    /** Complete the tree's `partial` randomly from `level`;
+     *  returns the reward. */
+    double rolloutAndScore(Tree &tree, std::size_t level) const;
     /** Evaluate a complete assignment, updating the incumbent. */
     double evaluate(Tree &tree, const Assignment &a) const;
 };

@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "model/cascades.hh"
 #include "ref/interpreter.hh"
 #include "ref/reference.hh"
@@ -29,6 +31,15 @@ struct LayerCase
     std::int64_t h, e, s, p, m0, m1;
     einsum::UnaryOp act;
 };
+
+/** Names each case by its fields (CTest derives test IDs from it). */
+void
+PrintTo(const LayerCase &c, std::ostream *os)
+{
+    *os << "h=" << c.h << "/e=" << c.e << "/s=" << c.s << "/p=" << c.p
+        << "/m0=" << c.m0 << "/m1=" << c.m1 << "/"
+        << einsum::toString(c.act);
+}
 
 class FullLayerEquivalence
     : public ::testing::TestWithParam<LayerCase>

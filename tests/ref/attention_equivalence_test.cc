@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "common/logging.hh"
 #include "ref/reference.hh"
@@ -23,6 +24,14 @@ struct AttentionCase
 {
     std::int64_t h, e, f, p, m, m0;
 };
+
+/** Names each case by its fields (CTest derives test IDs from it). */
+void
+PrintTo(const AttentionCase &c, std::ostream *os)
+{
+    *os << "h=" << c.h << "/e=" << c.e << "/f=" << c.f << "/p=" << c.p
+        << "/m=" << c.m << "/m0=" << c.m0;
+}
 
 class AttentionEquivalence
     : public ::testing::TestWithParam<AttentionCase>

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/math_utils.hh"
 #include "costmodel/traffic.hh"
 #include "schedule/tiling.hh"
 
@@ -80,6 +81,102 @@ TEST(NaiveTile, FeasibleOnEveryArchModelPoint)
                 EXPECT_EQ(t.b, 1);
             }
         }
+    }
+}
+
+/** The full first-fit scan naiveTile replaced: the oracle. */
+tileseek::TileShape
+scanNaiveTile(const arch::ArchConfig &arch,
+              const model::TransformerConfig &cfg, std::int64_t seq,
+              std::int64_t ctx)
+{
+    tileseek::TileShape t;
+    t.b = 1;
+    t.h = cfg.heads;
+    t.e = cfg.head_dim;
+    t.f = cfg.head_dim;
+    t.m1 = 1;
+    const auto p_options = divisorsUpTo(seq, 4096);
+    const auto m0_options = divisorsUpTo(ctx, arch.pe2d.cols);
+    const auto d_options = divisorsUpTo(cfg.d_model, 256);
+    const auto s_options = divisorsUpTo(cfg.ffn_hidden, 256);
+    for (auto p = p_options.rbegin(); p != p_options.rend(); ++p) {
+        t.p = *p;
+        t.p_prime = tileseek::pPrime(t.p, arch.pe2d.rows);
+        for (auto m0 = m0_options.rbegin(); m0 != m0_options.rend();
+             ++m0) {
+            t.m0 = *m0;
+            for (auto d = d_options.rbegin(); d != d_options.rend();
+                 ++d) {
+                t.d = *d;
+                for (auto s = s_options.rbegin();
+                     s != s_options.rend(); ++s) {
+                    t.s = *s;
+                    if (tileFeasible(t, arch, ctx))
+                        return t;
+                }
+            }
+        }
+    }
+    t.p = 1;
+    t.p_prime = 1;
+    t.m0 = 1;
+    t.d = 1;
+    t.s = 1;
+    return t;
+}
+
+void
+expectSameTile(const tileseek::TileShape &got,
+               const tileseek::TileShape &want)
+{
+    EXPECT_EQ(got.b, want.b);
+    EXPECT_EQ(got.d, want.d);
+    EXPECT_EQ(got.p, want.p);
+    EXPECT_EQ(got.m1, want.m1);
+    EXPECT_EQ(got.m0, want.m0);
+    EXPECT_EQ(got.s, want.s);
+    EXPECT_EQ(got.h, want.h);
+    EXPECT_EQ(got.e, want.e);
+    EXPECT_EQ(got.f, want.f);
+    EXPECT_EQ(got.p_prime, want.p_prime);
+}
+
+TEST(NaiveTile, MatchesFullFirstFitScanOnThePaperGrid)
+{
+    // Every arch, model and S from 1K to 1M, as self-attention, with
+    // a context longer and shorter than the query span, and as a
+    // single decode position over that context.
+    for (const auto &name : { "cloud", "edge", "edge32", "edge64" }) {
+        const auto arch = arch::archByName(name);
+        for (const auto &cfg : model::allModels()) {
+            for (std::int64_t seq = std::int64_t{1} << 10;
+                 seq <= std::int64_t{1} << 20; seq *= 2) {
+                for (const std::int64_t ctx :
+                     { seq, 2 * seq, seq / 4 }) {
+                    for (const std::int64_t q :
+                         { seq, std::int64_t{1} }) {
+                        SCOPED_TRACE(arch.name + " " + cfg.name
+                                     + " P=" + std::to_string(q)
+                                     + " ctx=" + std::to_string(ctx));
+                        expectSameTile(naiveTile(arch, cfg, q, ctx),
+                                       scanNaiveTile(arch, cfg, q,
+                                                     ctx));
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(NaiveTile, MatchesFullFirstFitScanWhenNothingFits)
+{
+    arch::ArchConfig tiny = arch::edgeArch();
+    tiny.buffer_bytes = 64;
+    for (const auto &cfg : model::allModels()) {
+        const auto want = scanNaiveTile(tiny, cfg, 1024, 1024);
+        ASSERT_FALSE(tileFeasible(want, tiny, 1024)) << cfg.name;
+        expectSameTile(naiveTile(tiny, cfg, 1024), want);
     }
 }
 
