@@ -339,6 +339,20 @@ intArg(const char *prog, const std::string &what,
 }
 
 void
+rejectSurplusArgs(int argc, char **argv, int max_positional,
+                  const std::string &usage)
+{
+    if (argc - 1 <= max_positional)
+        return;
+    std::cerr << argv[0] << ": unexpected argument '"
+              << argv[max_positional + 1] << "'\n"
+              << "usage: " << argv[0]
+              << (usage.empty() ? " (takes no arguments)" : " " + usage)
+              << "\n";
+    std::exit(2);
+}
+
+void
 printTable(const Table &t, const BenchArgs &args, std::ostream &os)
 {
     if (args.csv)

@@ -108,6 +108,15 @@ std::int64_t intArg(const char *prog, const std::string &what,
                     std::int64_t min_value = 1,
                     std::int64_t max_value = INT64_MAX);
 
+/**
+ * For the examples' positional command lines: with more than
+ * `max_positional` arguments, print "<prog>: unexpected argument
+ * '<first surplus>'" and "usage: <prog> <usage>" to stderr and
+ * exit(2).  `max_positional` 0 rejects any argument.
+ */
+void rejectSurplusArgs(int argc, char **argv, int max_positional,
+                       const std::string &usage);
+
 /** Print `t` honoring the `--csv` flag. */
 void printTable(const Table &t, const BenchArgs &args,
                 std::ostream &os);

@@ -258,4 +258,31 @@ runSeed(std::uint64_t seed)
     return out;
 }
 
+ReplayDigest
+saturatingCellDigest(int threads)
+{
+    serve::WorkloadOptions wl = envelope();
+    wl.arrival_per_s = 2000.0;
+    wl.requests = 480;
+    wl.output = { 16, 17 };
+    const auto trace = serve::generateWorkload(wl, 1);
+
+    fleet::FleetRunOptions run;
+    run.policy = fleet::PolicyKind::PowerOfTwo;
+    run.seed = 1;
+    run.faults.resize(kReplicas);
+    for (int r = 0; r < kReplicas; ++r) {
+        run.faults[static_cast<std::size_t>(r)] =
+            fault::generateFaultSchedule(
+                scheduleOptions(1 + static_cast<std::uint64_t>(r)),
+                kChipsPerReplica, 31 + static_cast<std::uint64_t>(r));
+    }
+    const auto fleet = fleet::FleetSimulator::uniform(
+        kReplicas, multichip::edgeCluster(kChipsPerReplica),
+        multichip::ShardSpec{ kChipsPerReplica, 1 }, model::t5Small(),
+        envelope(), fleetOptions(1, threads));
+    const Replay r = replay(fleet, trace, run);
+    return digestOf(kSaturatingCell, r.metrics, r.report);
+}
+
 } // namespace transfusion::bench::chaos

@@ -29,6 +29,7 @@
 #include <string>
 
 #include "fleet/fleet_sim.hh"
+#include "metrics_diff.hh"
 
 namespace transfusion::bench::chaos
 {
@@ -61,6 +62,22 @@ void warmCostTables();
 /** Replay one seed and check all five invariants (invariant 2
  *  only for a seed with a committed digest). */
 SeedResult runSeed(std::uint64_t seed);
+
+/** Cell name of the saturating replay in its digest file. */
+inline constexpr const char *kSaturatingCell = "chaos/saturating";
+
+/**
+ * Replay the saturating chaos cell at `threads` and digest it.  The
+ * seeded traces above (5-100 req/s, 10-17 requests) rarely retire
+ * two requests in one decode round, so a fault in the finish heap's
+ * tie order leaves their digests unchanged.  This cell is a
+ * 2000 req/s burst of 480 requests with 16-17 output tokens on the
+ * same fleet (kReplicas replicas, power-of-two routing, health and
+ * brownout off) under seed 1's per-replica fault schedules: it
+ * keeps every batch full, and 76 of its decode rounds retire two or
+ * more requests at once.
+ */
+ReplayDigest saturatingCellDigest(int threads);
 
 } // namespace transfusion::bench::chaos
 

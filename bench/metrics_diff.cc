@@ -407,4 +407,12 @@ legacyCoreDigests()
     return file;
 }
 
+const DigestFile &
+saturatingChaosDigests()
+{
+    static const DigestFile file =
+        DigestFile::load(TRANSFUSION_SATURATING_DIGESTS_FILE);
+    return file;
+}
+
 } // namespace transfusion::bench

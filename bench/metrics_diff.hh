@@ -126,6 +126,11 @@ class DigestFile
  *  (path compiled in; see bench/CMakeLists.txt). */
 const DigestFile &legacyCoreDigests();
 
+/** The committed digests of the saturating chaos cell
+ *  (tests/integration/data/saturating_chaos_digests.txt), loaded
+ *  once per process. */
+const DigestFile &saturatingChaosDigests();
+
 } // namespace transfusion::bench
 
 #endif // TRANSFUSION_BENCH_METRICS_DIFF_HH

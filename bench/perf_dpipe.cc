@@ -4,7 +4,9 @@
  * DAG construction, bipartition enumeration, DP scheduling, the
  * topology-only plan skeleton (built once per cascade topology and
  * process), and the full pipeline search over a memoized skeleton
- * -- the cost a user pays per scheduled layer.
+ * -- the cost a user pays per scheduled layer, from a string
+ * cascade (lowered per call) and from the compiled library entry
+ * the evaluator uses.
  */
 
 #include <benchmark/benchmark.h>
@@ -95,6 +97,30 @@ BM_SchedulePipelinePerLayer(benchmark::State &state)
     }
 }
 BENCHMARK(BM_SchedulePipelinePerLayer)
+    ->DenseRange(0, 3)
+    ->Unit(benchmark::kMicrosecond);
+
+/** The evaluator's per-call cost: the process-wide library entry,
+ *  extents and epochs bound once, only the plan search timed.
+ *  Target for QKV (/0, no bipartition search): under 3 us. */
+void
+BM_SchedulePipelineCompiledPerLayer(benchmark::State &state)
+{
+    const auto cfg = model::bertBase();
+    const auto arch = arch::cloudArch();
+    const auto dims = model::makeDims(cfg, 4096, 256, 16);
+    const auto kind =
+        static_cast<model::LayerKind>(state.range(0));
+    const auto &cascade = model::libraryCascade(kind, cfg);
+    const auto x = cascade.bind(dims);
+    const auto epochs =
+        dpipe::pipelineEpochs(model::peMapping(kind), dims, arch);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            dpipe::schedulePipeline(cascade, x, epochs, arch));
+    }
+}
+BENCHMARK(BM_SchedulePipelineCompiledPerLayer)
     ->DenseRange(0, 3)
     ->Unit(benchmark::kMicrosecond);
 

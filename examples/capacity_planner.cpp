@@ -15,14 +15,16 @@
 
 #include <iostream>
 
+#include "bench_util.hh"
 #include "common/math_utils.hh"
 #include "common/table.hh"
 #include "plan/planner.hh"
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace transfusion;
+    bench::rejectSurplusArgs(argc, argv, 0, "");
 
     const auto cfg = model::t5Small();
 

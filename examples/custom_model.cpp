@@ -8,14 +8,16 @@
 
 #include <iostream>
 
+#include "bench_util.hh"
 #include "common/math_utils.hh"
 #include "common/table.hh"
 #include "sim/compare.hh"
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace transfusion;
+    bench::rejectSurplusArgs(argc, argv, 0, "");
 
     // 1. A custom workload: GPT-2-XL-like decoder shapes.
     model::TransformerConfig gpt2xl;

@@ -46,6 +46,9 @@ main(int argc, char **argv)
 {
     using namespace transfusion;
 
+    bench::rejectSurplusArgs(argc, argv, 4,
+                             "[layer=MHA] [arch=cloud] "
+                             "[seq=4096] [trace.json]");
     const model::LayerKind kind =
         layerByName(argc > 1 ? argv[1] : "MHA");
     const arch::ArchConfig arch =

@@ -14,14 +14,16 @@
 
 #include <iostream>
 
+#include "bench_util.hh"
 #include "common/math_utils.hh"
 #include "common/table.hh"
 #include "fault/fault_server.hh"
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace transfusion;
+    bench::rejectSurplusArgs(argc, argv, 0, "");
 
     const auto cluster = multichip::cloudCluster(4);
     const auto cfg = model::llama3_8b();

@@ -9,6 +9,7 @@
 
 #include <iostream>
 
+#include "bench_util.hh"
 #include "model/cascades.hh"
 #include "ref/interpreter.hh"
 #include "ref/recurrent_interpreter.hh"
@@ -16,9 +17,10 @@
 #include "ref/streaming_attention.hh"
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace transfusion;
+    bench::rejectSurplusArgs(argc, argv, 0, "");
     using ref::Tensor;
 
     // A small but non-trivial layer.

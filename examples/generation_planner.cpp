@@ -22,6 +22,9 @@ main(int argc, char **argv)
 {
     using namespace transfusion;
 
+    bench::rejectSurplusArgs(argc, argv, 4,
+                             "[model=Llama3] [arch=cloud] "
+                             "[prompt=4096] [tokens=512]");
     const auto cfg =
         bench::modelArg(argv[0], argc > 1 ? argv[1] : "Llama3");
     const auto arch =

@@ -10,15 +10,17 @@
 
 #include <iostream>
 
+#include "bench_util.hh"
 #include "common/math_utils.hh"
 #include "common/table.hh"
 #include "multichip/shard_plan.hh"
 #include "multichip/sharded_serve.hh"
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace transfusion;
+    bench::rejectSurplusArgs(argc, argv, 0, "");
 
     // 1. A custom fabric: eight edge64 NPUs on a PCB-level ring a
     //    little faster than the stock edge preset.  Llama3-8B's

@@ -20,6 +20,8 @@ main(int argc, char **argv)
 {
     using namespace transfusion;
 
+    bench::rejectSurplusArgs(argc, argv, 3,
+                             "[arch=cloud] [model=Llama3] [seq=65536]");
     const arch::ArchConfig arch =
         bench::archArg(argv[0], argc > 1 ? argv[1] : "cloud");
     const model::TransformerConfig cfg =

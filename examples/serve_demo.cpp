@@ -11,14 +11,16 @@
 
 #include <iostream>
 
+#include "bench_util.hh"
 #include "common/math_utils.hh"
 #include "common/table.hh"
 #include "serve/simulator.hh"
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace transfusion;
+    bench::rejectSurplusArgs(argc, argv, 0, "");
 
     const auto arch = arch::edgeArch();
     const auto cfg = model::t5Small();

@@ -32,6 +32,9 @@ main(int argc, char **argv)
 {
     using namespace transfusion;
 
+    bench::rejectSurplusArgs(argc, argv, 4,
+                             "[model=Llama3] [arch=edge] "
+                             "[seq=65536] [threads=hardware]");
     const model::TransformerConfig cfg =
         bench::modelArg(argv[0], argc > 1 ? argv[1] : "Llama3");
     const arch::ArchConfig arch =

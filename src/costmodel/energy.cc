@@ -38,18 +38,18 @@ dramEnergy(const arch::ArchConfig &arch, double bytes)
 }
 
 EnergyBreakdown
-opOnChipEnergy(const einsum::Einsum &op, const einsum::DimEnv &dims,
-               const arch::ArchConfig &arch,
+opOnChipEnergy(const einsum::CompiledCascade &cascade, std::size_t op,
+               const einsum::Extents &x, const arch::ArchConfig &arch,
                const OnChipParams &params)
 {
-    const double load = op.computeLoad(dims);
-    const double out_words = op.output().elementCount(dims);
+    const double load = cascade.computeLoad(op, x);
+    const double out_words = cascade.outputElements(op, x);
     double in_words = 0;
-    for (const auto &ref : op.inputs())
-        in_words += ref.elementCount(dims);
+    for (std::size_t k = 0; k < cascade.inputCount(op); ++k)
+        in_words += cascade.inputElements(op, k, x);
 
     double buffer_words;
-    if (op.peClass() == einsum::PeClass::Matrix) {
+    if (cascade.peClass(op) == einsum::PeClass::Matrix) {
         // Systolic reuse: each buffered word feeds `reuse` MACs.
         double reuse = params.matrix_rf_reuse;
         if (reuse <= 0) {
@@ -76,15 +76,34 @@ opOnChipEnergy(const einsum::Einsum &op, const einsum::DimEnv &dims,
 }
 
 EnergyBreakdown
+opOnChipEnergy(const einsum::Einsum &op, const einsum::DimEnv &dims,
+               const arch::ArchConfig &arch,
+               const OnChipParams &params)
+{
+    const auto c = einsum::CompiledCascade::ofOp(op);
+    return opOnChipEnergy(c, 0, c.bind(dims), arch, params);
+}
+
+EnergyBreakdown
+cascadeOnChipEnergy(const einsum::CompiledCascade &cascade,
+                    const einsum::Extents &x,
+                    const arch::ArchConfig &arch,
+                    const OnChipParams &params)
+{
+    EnergyBreakdown total;
+    for (std::size_t op = 0; op < cascade.size(); ++op)
+        total += opOnChipEnergy(cascade, op, x, arch, params);
+    return total;
+}
+
+EnergyBreakdown
 cascadeOnChipEnergy(const einsum::Cascade &cascade,
                     const einsum::DimEnv &dims,
                     const arch::ArchConfig &arch,
                     const OnChipParams &params)
 {
-    EnergyBreakdown total;
-    for (const auto &op : cascade.ops())
-        total += opOnChipEnergy(op, dims, arch, params);
-    return total;
+    const einsum::CompiledCascade c(cascade);
+    return cascadeOnChipEnergy(c, c.bind(dims), arch, params);
 }
 
 } // namespace transfusion::costmodel

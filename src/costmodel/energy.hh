@@ -17,7 +17,7 @@
 #define TRANSFUSION_COSTMODEL_ENERGY_HH
 
 #include "arch/arch.hh"
-#include "einsum/cascade.hh"
+#include "einsum/compiled.hh"
 
 namespace transfusion::costmodel
 {
@@ -63,8 +63,8 @@ struct OnChipParams
 double dramEnergy(const arch::ArchConfig &arch, double bytes);
 
 /**
- * On-chip (buffer + RF + PE) energy of executing one Einsum once
- * under `dims`.
+ * On-chip (buffer + RF + PE) energy of executing op `op` of a
+ * compiled cascade once under bound extents `x`.
  *
  * Accounting: every scalar map-reduce op costs one PE op and ~3 RF
  * accesses.  Matrix-class ops read each buffered input word once
@@ -72,12 +72,24 @@ double dramEnergy(const arch::ArchConfig &arch, double bytes);
  * and output word through the buffer once (minus the forwarded
  * fraction).
  */
+EnergyBreakdown opOnChipEnergy(const einsum::CompiledCascade &cascade,
+                               std::size_t op,
+                               const einsum::Extents &x,
+                               const arch::ArchConfig &arch,
+                               const OnChipParams &params = {});
+
+/** opOnChipEnergy of a string-form op under `dims` (lowers it). */
 EnergyBreakdown opOnChipEnergy(const einsum::Einsum &op,
                                const einsum::DimEnv &dims,
                                const arch::ArchConfig &arch,
                                const OnChipParams &params = {});
 
-/** Sum of opOnChipEnergy over a cascade. */
+/** Sum of opOnChipEnergy over a compiled cascade, in op order. */
+EnergyBreakdown cascadeOnChipEnergy(
+    const einsum::CompiledCascade &cascade, const einsum::Extents &x,
+    const arch::ArchConfig &arch, const OnChipParams &params = {});
+
+/** cascadeOnChipEnergy of a string-form cascade (lowers it). */
 EnergyBreakdown cascadeOnChipEnergy(const einsum::Cascade &cascade,
                                     const einsum::DimEnv &dims,
                                     const arch::ArchConfig &arch,

@@ -21,11 +21,10 @@ toString(PeTarget t)
 }
 
 double
-effectivePes(const einsum::Einsum &op, const arch::ArchConfig &arch,
+effectivePes(einsum::PeClass cls, const arch::ArchConfig &arch,
              PeTarget target, const LatencyParams &params)
 {
     using einsum::PeClass;
-    const PeClass cls = op.peClass();
     if (target == PeTarget::Array2d) {
         const double pes =
             static_cast<double>(arch.pe2d.count());
@@ -42,6 +41,13 @@ effectivePes(const einsum::Einsum &op, const arch::ArchConfig &arch,
 }
 
 double
+effectivePes(const einsum::Einsum &op, const arch::ArchConfig &arch,
+             PeTarget target, const LatencyParams &params)
+{
+    return effectivePes(op.peClass(), arch, target, params);
+}
+
+double
 computeCycles(double load, double effective_pes)
 {
     tf_assert(effective_pes > 0, "effective PE count must be > 0");
@@ -50,14 +56,23 @@ computeCycles(double load, double effective_pes)
 }
 
 double
+opLatencySeconds(double load, einsum::PeClass cls,
+                 const arch::ArchConfig &arch, PeTarget target,
+                 const LatencyParams &params)
+{
+    const double pes = effectivePes(cls, arch, target, params);
+    return computeCycles(load, pes) / arch.clock_hz;
+}
+
+double
 opLatencySeconds(const einsum::Einsum &op,
                  const einsum::DimEnv &dims,
                  const arch::ArchConfig &arch, PeTarget target,
                  const LatencyParams &params)
 {
-    const double load = op.computeLoad(dims);
-    const double pes = effectivePes(op, arch, target, params);
-    return computeCycles(load, pes) / arch.clock_hz;
+    const auto c = einsum::CompiledCascade::ofOp(op);
+    return opLatencySeconds(c.computeLoad(0, c.bind(dims)),
+                            c.peClass(0), arch, target, params);
 }
 
 } // namespace transfusion::costmodel

@@ -17,7 +17,7 @@
 #define TRANSFUSION_COSTMODEL_LATENCY_HH
 
 #include "arch/arch.hh"
-#include "einsum/einsum.hh"
+#include "einsum/compiled.hh"
 
 namespace transfusion::costmodel
 {
@@ -59,9 +59,14 @@ struct LatencyParams
 };
 
 /**
- * Effective PEs an op commands on a target array (NumPEs_op in
- * Eq. 41), including the off-class efficiency derating.
+ * Effective PEs an op of class `cls` commands on a target array
+ * (NumPEs_op in Eq. 41), including the off-class efficiency
+ * derating.
  */
+double effectivePes(einsum::PeClass cls, const arch::ArchConfig &arch,
+                    PeTarget target, const LatencyParams &params = {});
+
+/** effectivePes of a string-form op (its peClass()). */
 double effectivePes(const einsum::Einsum &op,
                     const arch::ArchConfig &arch, PeTarget target,
                     const LatencyParams &params = {});
@@ -70,8 +75,17 @@ double effectivePes(const einsum::Einsum &op,
 double computeCycles(double load, double effective_pes);
 
 /**
- * Latency_op in seconds per Eq. 42 for one execution of `op` under
- * `dims` on `target`.
+ * Latency_op in seconds per Eq. 42 of an op of class `cls` whose
+ * compute load (Eq. 40, e.g. CompiledCascade::computeLoad) is
+ * `load`, on `target`.
+ */
+double opLatencySeconds(double load, einsum::PeClass cls,
+                        const arch::ArchConfig &arch, PeTarget target,
+                        const LatencyParams &params = {});
+
+/**
+ * Latency_op for one execution of a string-form `op` under `dims`:
+ * lowers the op and runs the compiled formula.
  */
 double opLatencySeconds(const einsum::Einsum &op,
                         const einsum::DimEnv &dims,

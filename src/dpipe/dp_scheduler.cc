@@ -153,7 +153,7 @@ dpSchedule(const einsum::Dag &dag, const std::vector<int> &order,
 }
 
 OrderSet::OrderSet(const einsum::Dag &dag, std::size_t max_orders)
-    : nodes_(dag.nodeCount())
+    : nodes_(dag.nodeCount()), dag_(dag)
 {
     if (nodes_ > 256)
         tf_fatal("candidate orders over ", nodes_,
@@ -275,15 +275,7 @@ Schedule
 OrderSet::schedule(std::size_t i,
                    const std::vector<OpLatencyPair> &latency) const
 {
-    // Rebuilt edge by edge in stored predecessor order, so dpSchedule
-    // folds each op's dependencies in the original DAG's order.
-    einsum::Dag dag(nodes_);
-    for (int v = 0; v < nodes_; ++v) {
-        for (std::size_t e = pred_begin_[static_cast<std::size_t>(v)];
-             e < pred_begin_[static_cast<std::size_t>(v) + 1]; ++e)
-            dag.addEdge(pred_ids_[e], v);
-    }
-    return dpSchedule(dag, orderVector(i), latency);
+    return dpSchedule(dag_, orderVector(i), latency);
 }
 
 Schedule

@@ -103,11 +103,11 @@ struct OrderScore
  * Kahn order first, then -- when `max_orders` > 1 -- up to
  * `max_orders` lexicographically enumerated ones.  The Kahn order
  * is often also the first lexicographic one; it is kept twice, so
- * the search statistics count what the DP actually runs.  Flat
- * copies of the DAG's predecessor lists and of each order's common
- * prefix with the previous one ride along, so the set scores and
- * schedules its orders without keeping the DAG.  Fatal above 256
- * nodes (ids must fit a byte).
+ * the search statistics count what the DP actually runs.  A copy of
+ * the DAG, flat copies of its predecessor lists and each order's
+ * common prefix with the previous one ride along, so the set scores
+ * and schedules its orders on its own.  Fatal above 256 nodes (ids
+ * must fit a byte).
  */
 class OrderSet
 {
@@ -144,6 +144,8 @@ class OrderSet
     }
 
     int nodes_ = 0;
+    /** The DAG the orders are of; schedule() runs dpSchedule on it. */
+    einsum::Dag dag_;
     std::size_t count_ = 0;
     std::vector<std::uint8_t> ids_;
     /** Leading ids order i shares with order i-1 (0 for i = 0). */

@@ -21,26 +21,32 @@ using costmodel::PeTarget;
 namespace
 {
 
-/** Per-op [2D, 1D] latency, optionally divided into epochs. */
-std::vector<OpLatencyPair>
-latencyTable(const einsum::Cascade &cascade,
-             const einsum::DimEnv &dims,
-             const arch::ArchConfig &arch,
-             const costmodel::LatencyParams &params, double divide)
+/**
+ * Per-op [2D, 1D] latency divided into `epochs`, and each op's
+ * full load (one load per op, shared by both targets).
+ */
+void
+latencyTable(const einsum::CompiledCascade &cascade,
+             const einsum::Extents &x, const arch::ArchConfig &arch,
+             const costmodel::LatencyParams &params, double epochs,
+             std::vector<OpLatencyPair> &lat,
+             std::vector<double> &full_load)
 {
-    std::vector<OpLatencyPair> lat;
-    lat.reserve(cascade.size());
-    for (const auto &op : cascade.ops()) {
+    lat.clear();
+    full_load.clear();
+    for (std::size_t op = 0; op < cascade.size(); ++op) {
+        const double load = cascade.computeLoad(op, x);
+        const einsum::PeClass cls = cascade.peClass(op);
+        full_load.push_back(load);
         lat.push_back({
-            costmodel::opLatencySeconds(op, dims, arch,
+            costmodel::opLatencySeconds(load, cls, arch,
                                         PeTarget::Array2d, params)
-                / divide,
-            costmodel::opLatencySeconds(op, dims, arch,
+                / epochs,
+            costmodel::opLatencySeconds(load, cls, arch,
                                         PeTarget::Array1d, params)
-                / divide,
+                / epochs,
         });
     }
-    return lat;
 }
 
 /** Latency table for a subset, remapped to subgraph ids. */
@@ -74,8 +80,8 @@ addWork(WorkSplit &work, const Schedule &sched,
 } // namespace
 
 PipelineResult
-scheduleSequential(const einsum::Cascade &cascade,
-                   const einsum::DimEnv &dims,
+scheduleSequential(const einsum::CompiledCascade &cascade,
+                   const einsum::Extents &x,
                    const arch::ArchConfig &arch,
                    const PipelineOptions &opts)
 {
@@ -83,14 +89,15 @@ scheduleSequential(const einsum::Cascade &cascade,
     r.epochs = 1;
     r.pipelined = false;
     double t = 0;
-    for (const auto &op : cascade.ops()) {
-        const bool matrix = op.peClass() == einsum::PeClass::Matrix;
+    for (std::size_t op = 0; op < cascade.size(); ++op) {
+        const einsum::PeClass cls = cascade.peClass(op);
+        const bool matrix = cls == einsum::PeClass::Matrix;
         const PeTarget target = matrix ? PeTarget::Array2d
                                        : PeTarget::Array1d;
+        const double load = cascade.computeLoad(op, x);
         const double lat = costmodel::opLatencySeconds(
-            op, dims, arch, target, opts.latency);
+            load, cls, arch, target, opts.latency);
         t += lat;
-        const double load = op.computeLoad(dims);
         if (matrix) {
             r.work.ops_2d += load;
             r.work.busy_2d_s += lat;
@@ -105,24 +112,24 @@ scheduleSequential(const einsum::Cascade &cascade,
 }
 
 PipelineResult
-scheduleStaticPipeline(const einsum::Cascade &cascade,
-                       const einsum::DimEnv &dims,
+scheduleStaticPipeline(const einsum::CompiledCascade &cascade,
+                       const einsum::Extents &x,
                        const arch::ArchConfig &arch,
                        const PipelineOptions &opts)
 {
     PipelineResult r;
     r.epochs = 1;
     r.pipelined = true;
-    for (const auto &op : cascade.ops()) {
-        const bool matrix = op.peClass() == einsum::PeClass::Matrix;
-        const bool on_2d = matrix
+    for (std::size_t op = 0; op < cascade.size(); ++op) {
+        const einsum::PeClass cls = cascade.peClass(op);
+        const bool on_2d = cls == einsum::PeClass::Matrix
             || (opts.static_exp_on_2d
-                && op.unaryOp() == einsum::UnaryOp::Exp);
+                && cascade.unaryOp(op) == einsum::UnaryOp::Exp);
         const PeTarget target = on_2d ? PeTarget::Array2d
                                       : PeTarget::Array1d;
+        const double load = cascade.computeLoad(op, x);
         const double lat = costmodel::opLatencySeconds(
-            op, dims, arch, target, opts.latency);
-        const double load = op.computeLoad(dims);
+            load, cls, arch, target, opts.latency);
         if (on_2d) {
             r.work.ops_2d += load;
             r.work.busy_2d_s += lat;
@@ -137,8 +144,8 @@ scheduleStaticPipeline(const einsum::Cascade &cascade,
 }
 
 PipelineResult
-scheduleCooperative(const einsum::Cascade &cascade,
-                    const einsum::DimEnv &dims,
+scheduleCooperative(const einsum::CompiledCascade &cascade,
+                    const einsum::Extents &x,
                     const arch::ArchConfig &arch,
                     const PipelineOptions &opts)
 {
@@ -146,14 +153,15 @@ scheduleCooperative(const einsum::Cascade &cascade,
     r.epochs = 1;
     r.pipelined = true;
     double t = 0;
-    for (const auto &op : cascade.ops()) {
-        const double load = op.computeLoad(dims);
+    for (std::size_t op = 0; op < cascade.size(); ++op) {
+        const double load = cascade.computeLoad(op, x);
+        const einsum::PeClass cls = cascade.peClass(op);
         const double rate_2d =
-            costmodel::effectivePes(op, arch, PeTarget::Array2d,
+            costmodel::effectivePes(cls, arch, PeTarget::Array2d,
                                     opts.latency)
             * arch.clock_hz;
         const double rate_1d =
-            costmodel::effectivePes(op, arch, PeTarget::Array1d,
+            costmodel::effectivePes(cls, arch, PeTarget::Array1d,
                                     opts.latency)
             * arch.clock_hz;
         const double rate = rate_2d + rate_1d;
@@ -170,22 +178,29 @@ scheduleCooperative(const einsum::Cascade &cascade,
     return r;
 }
 
+std::int64_t
+pipelineEpochs(const model::DimMapping &mapping,
+               const einsum::DimEnv &dims, const arch::ArchConfig &arch)
+{
+    return std::max<std::int64_t>(
+        1, model::epochCount(mapping, dims, arch.pe2d.rows,
+                             arch.pe2d.cols));
+}
+
 PipelineResult
-schedulePipeline(const einsum::Cascade &cascade,
-                 const einsum::DimEnv &dims,
+schedulePipeline(const einsum::CompiledCascade &cascade,
+                 const einsum::Extents &x, std::int64_t epochs,
                  const arch::ArchConfig &arch,
-                 const model::DimMapping &mapping,
                  const PipelineOptions &opts)
 {
     TF_SPAN("dpipe.schedule_pipeline");
+    tf_assert(epochs >= 1, "a pipeline runs at least one epoch");
     const PipelineSkeleton &skel =
-        pipelineSkeleton(cascade.buildDag(), opts.max_orders);
-    const std::int64_t epochs = std::max<std::int64_t>(
-        1, model::epochCount(mapping, dims, arch.pe2d.rows,
-                             arch.pe2d.cols));
-    const auto lat_epoch = latencyTable(cascade, dims, arch,
-                                        opts.latency,
-                                        static_cast<double>(epochs));
+        pipelineSkeleton(cascade.dag(), opts.max_orders);
+    std::vector<OpLatencyPair> lat_epoch;
+    std::vector<double> full_load;
+    latencyTable(cascade, x, arch, opts.latency,
+                 static_cast<double>(epochs), lat_epoch, full_load);
 
     // Every candidate is scored by makespan alone; only the winning
     // plan's orders are materialized as Schedules afterwards.  The
@@ -229,11 +244,6 @@ schedulePipeline(const einsum::Cascade &cascade,
             win = Winner{&bp, steady, fill, drain};
         }
     }
-
-    std::vector<double> full_load;
-    full_load.reserve(cascade.size());
-    for (const auto &op : cascade.ops())
-        full_load.push_back(op.computeLoad(dims));
 
     PipelineResult best;
     best.epochs = epochs;
@@ -282,6 +292,48 @@ schedulePipeline(const einsum::Cascade &cascade,
     TF_GAUGE_ADD("dpipe/pipeline/steady_epoch_s",
                  best.steady_epoch_seconds);
     return best;
+}
+
+PipelineResult
+schedulePipeline(const einsum::Cascade &cascade,
+                 const einsum::DimEnv &dims,
+                 const arch::ArchConfig &arch,
+                 const model::DimMapping &mapping,
+                 const PipelineOptions &opts)
+{
+    const std::int64_t epochs = pipelineEpochs(mapping, dims, arch);
+    const einsum::CompiledCascade c(cascade);
+    return schedulePipeline(c, c.bind(dims), epochs, arch, opts);
+}
+
+PipelineResult
+scheduleSequential(const einsum::Cascade &cascade,
+                   const einsum::DimEnv &dims,
+                   const arch::ArchConfig &arch,
+                   const PipelineOptions &opts)
+{
+    const einsum::CompiledCascade c(cascade);
+    return scheduleSequential(c, c.bind(dims), arch, opts);
+}
+
+PipelineResult
+scheduleStaticPipeline(const einsum::Cascade &cascade,
+                       const einsum::DimEnv &dims,
+                       const arch::ArchConfig &arch,
+                       const PipelineOptions &opts)
+{
+    const einsum::CompiledCascade c(cascade);
+    return scheduleStaticPipeline(c, c.bind(dims), arch, opts);
+}
+
+PipelineResult
+scheduleCooperative(const einsum::Cascade &cascade,
+                    const einsum::DimEnv &dims,
+                    const arch::ArchConfig &arch,
+                    const PipelineOptions &opts)
+{
+    const einsum::CompiledCascade c(cascade);
+    return scheduleCooperative(c, c.bind(dims), arch, opts);
 }
 
 } // namespace transfusion::dpipe

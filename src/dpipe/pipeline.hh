@@ -23,7 +23,7 @@
 #include "costmodel/latency.hh"
 #include "dpipe/dp_scheduler.hh"
 #include "dpipe/partition.hh"
-#include "einsum/cascade.hh"
+#include "einsum/compiled.hh"
 #include "model/pe_mapping.hh"
 
 namespace transfusion::dpipe
@@ -69,26 +69,35 @@ struct PipelineResult
 };
 
 /**
- * Compute-side DPipe plan for a cascade.  Inner tiles follow the
- * Table 1 `mapping`; per-epoch op latency is the full-op Eq. 42
+ * Compute-side DPipe plan for a compiled cascade under bound
+ * extents `x`, over `epochs` (>= 1) inner-tile epochs (see
+ * pipelineEpochs).  Per-epoch op latency is the full-op Eq. 42
  * latency divided by the epoch count.  The bipartitions and
- * candidate orders come from the cascade topology's memoized
+ * candidate orders come from the cascade DAG's memoized
  * pipelineSkeleton (dpipe/skeleton.hh); only the latencies are
  * computed per call.
  */
-PipelineResult schedulePipeline(const einsum::Cascade &cascade,
-                                const einsum::DimEnv &dims,
+PipelineResult schedulePipeline(const einsum::CompiledCascade &cascade,
+                                const einsum::Extents &x,
+                                std::int64_t epochs,
                                 const arch::ArchConfig &arch,
-                                const model::DimMapping &mapping,
                                 const PipelineOptions &opts = {});
+
+/**
+ * Inner-tile epochs of a layer whose tiles follow the Table 1
+ * `mapping` on the 2D array: model::epochCount, at least 1.
+ */
+std::int64_t pipelineEpochs(const model::DimMapping &mapping,
+                            const einsum::DimEnv &dims,
+                            const arch::ArchConfig &arch);
 
 /**
  * Non-pipelined reference: every op runs on its native array, one
  * after another (the Unfused/FLAT execution style).  Returns the
  * same bookkeeping so strategies can compare uniformly.
  */
-PipelineResult scheduleSequential(const einsum::Cascade &cascade,
-                                  const einsum::DimEnv &dims,
+PipelineResult scheduleSequential(const einsum::CompiledCascade &cascade,
+                                  const einsum::Extents &x,
                                   const arch::ArchConfig &arch,
                                   const PipelineOptions &opts = {});
 
@@ -97,10 +106,11 @@ PipelineResult scheduleSequential(const einsum::Cascade &cascade,
  * vector ops on the 1D array run concurrently (perfectly
  * overlapped), but no DP placement and no cross-array offloading.
  */
-PipelineResult scheduleStaticPipeline(const einsum::Cascade &cascade,
-                                      const einsum::DimEnv &dims,
-                                      const arch::ArchConfig &arch,
-                                      const PipelineOptions &opts = {});
+PipelineResult
+scheduleStaticPipeline(const einsum::CompiledCascade &cascade,
+                       const einsum::Extents &x,
+                       const arch::ArchConfig &arch,
+                       const PipelineOptions &opts = {});
 
 /**
  * Cooperative tile-split plan: because an Einsum's inner tiles are
@@ -112,10 +122,36 @@ PipelineResult scheduleStaticPipeline(const einsum::Cascade &cascade,
  * size and one op class dominates (e.g. the 32x32/64x64 edge
  * variants of Fig. 9).
  */
+PipelineResult scheduleCooperative(const einsum::CompiledCascade &cascade,
+                                   const einsum::Extents &x,
+                                   const arch::ArchConfig &arch,
+                                   const PipelineOptions &opts = {});
+
+/**
+ * @name String-form entry points
+ * Each lowers `cascade` to a CompiledCascade, binds `dims` and runs
+ * the compiled plan above; schedulePipeline first takes its epoch
+ * count from `mapping` (pipelineEpochs).
+ */
+/// @{
+PipelineResult schedulePipeline(const einsum::Cascade &cascade,
+                                const einsum::DimEnv &dims,
+                                const arch::ArchConfig &arch,
+                                const model::DimMapping &mapping,
+                                const PipelineOptions &opts = {});
+PipelineResult scheduleSequential(const einsum::Cascade &cascade,
+                                  const einsum::DimEnv &dims,
+                                  const arch::ArchConfig &arch,
+                                  const PipelineOptions &opts = {});
+PipelineResult scheduleStaticPipeline(const einsum::Cascade &cascade,
+                                      const einsum::DimEnv &dims,
+                                      const arch::ArchConfig &arch,
+                                      const PipelineOptions &opts = {});
 PipelineResult scheduleCooperative(const einsum::Cascade &cascade,
                                    const einsum::DimEnv &dims,
                                    const arch::ArchConfig &arch,
                                    const PipelineOptions &opts = {});
+/// @}
 
 } // namespace transfusion::dpipe
 

@@ -5,12 +5,11 @@
 
 #include "skeleton.hh"
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-
-#include "costmodel/cache_key.hh"
 
 namespace transfusion::dpipe
 {
@@ -75,19 +74,31 @@ steadyStateDag(const einsum::Dag &dag,
     return combined;
 }
 
-/** Memo key: the node count, every edge in stored order, the cap. */
+/**
+ * Memo key: the node count, each node's successor count and
+ * successors in stored order, then the cap, as raw 32-bit words.
+ * Built on every schedulePipeline call, so it is kept to one
+ * allocation.
+ */
 std::string
 skeletonKey(const einsum::Dag &dag, std::size_t max_orders)
 {
-    costmodel::KeyBuilder k;
-    k.add("kind", "dpipe-skeleton");
-    k.add("nodes", dag.nodeCount());
+    std::string key;
+    const auto put = [&key](std::uint32_t word) {
+        key.append(reinterpret_cast<const char *>(&word), sizeof word);
+    };
+    key.reserve(sizeof(std::uint32_t)
+                * (3 + 2 * static_cast<std::size_t>(dag.nodeCount())));
+    put(static_cast<std::uint32_t>(dag.nodeCount()));
     for (int v = 0; v < dag.nodeCount(); ++v) {
-        for (int w : dag.successors(v))
-            k.add("from", v).add("to", w);
+        const auto &succ = dag.successors(v);
+        put(static_cast<std::uint32_t>(succ.size()));
+        for (int w : succ)
+            put(static_cast<std::uint32_t>(w));
     }
-    k.add("max_orders", static_cast<std::uint64_t>(max_orders));
-    return k.str();
+    put(static_cast<std::uint32_t>(max_orders));
+    put(static_cast<std::uint32_t>(max_orders >> 32));
+    return key;
 }
 
 struct SkeletonMemo

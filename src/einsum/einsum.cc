@@ -6,10 +6,10 @@
 #include "einsum.hh"
 
 #include <algorithm>
-#include <set>
 #include <sstream>
 
 #include "common/logging.hh"
+#include "einsum/compiled.hh"
 
 namespace transfusion::einsum
 {
@@ -106,13 +106,15 @@ Einsum::forcePeClass(PeClass pc)
 std::vector<std::string>
 Einsum::reductionIndices() const
 {
-    std::set<std::string> out_set(output_.indices.begin(),
-                                  output_.indices.end());
-    std::set<std::string> seen;
+    // Linear scans: at most two operands of a few labels each, so
+    // a set would cost more than it saves.
+    const auto &out = output_.indices;
     std::vector<std::string> red;
     for (const auto &in : inputs_) {
         for (const auto &idx : in.indices) {
-            if (!out_set.count(idx) && seen.insert(idx).second)
+            if (std::find(out.begin(), out.end(), idx) == out.end()
+                    && std::find(red.begin(), red.end(), idx)
+                        == red.end())
                 red.push_back(idx);
         }
     }
@@ -122,10 +124,8 @@ Einsum::reductionIndices() const
 double
 Einsum::computeLoad(const DimEnv &env) const
 {
-    // Eq. 40: product over output dims times product over reduction
-    // dims.  Every scalar map-reduce step counts as one operation.
-    return env.product(output_.indices)
-        * env.product(reductionIndices());
+    const CompiledCascade c = CompiledCascade::ofOp(*this);
+    return c.computeLoad(0, c.bind(env));
 }
 
 PeClass

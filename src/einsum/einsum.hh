@@ -94,13 +94,15 @@ class Einsum
 
     /**
      * Reduction indices per Eq. 40: labels appearing in at least one
-     * input but not in the output.
+     * input but not in the output, in first-seen order (inputs in
+     * order, each outer to inner).
      */
     std::vector<std::string> reductionIndices() const;
 
     /**
      * Compute load per Eq. 40: product of output extents times
      * product of reduction extents (scalar map-reduce operations).
+     * Lowers the op and evaluates CompiledCascade::computeLoad.
      */
     double computeLoad(const DimEnv &env) const;
 

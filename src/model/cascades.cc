@@ -5,6 +5,11 @@
 
 #include "cascades.hh"
 
+#include <map>
+#include <memory>
+#include <mutex>
+#include <tuple>
+
 #include "common/logging.hh"
 
 namespace transfusion::model
@@ -302,6 +307,35 @@ buildCascade(LayerKind kind, const TransformerConfig &cfg)
         return buildFfnCascade(cfg.activation);
     }
     tf_panic("unknown LayerKind");
+}
+
+const einsum::CompiledCascade &
+libraryCascade(LayerKind kind, const TransformerConfig &cfg)
+{
+    cfg.validate();
+    // Everything buildCascade reads of cfg, and nothing else.
+    using Key = std::tuple<LayerKind, std::int64_t, UnaryOp>;
+    const Key key{
+        kind, kind == LayerKind::LayerNorm ? cfg.d_model : 0,
+        kind == LayerKind::Ffn ? cfg.activation : UnaryOp::None };
+    static std::mutex mutex;
+    static std::map<Key, std::unique_ptr<const einsum::CompiledCascade>>
+        entries;
+    const std::lock_guard<std::mutex> lock(mutex);
+    auto &entry = entries[key];
+    if (!entry) {
+        entry = std::make_unique<const einsum::CompiledCascade>(
+            buildCascade(kind, cfg));
+    }
+    return *entry;
+}
+
+const einsum::CompiledCascade &
+unfusedMhaLibraryCascade()
+{
+    static const einsum::CompiledCascade cascade(
+        buildUnfusedMhaCascade());
+    return cascade;
 }
 
 } // namespace transfusion::model

@@ -16,7 +16,7 @@
 
 #include <cstdint>
 
-#include "einsum/cascade.hh"
+#include "einsum/compiled.hh"
 #include "model/transformer.hh"
 
 namespace transfusion::model
@@ -75,6 +75,24 @@ einsum::Cascade buildFfnCascade(einsum::UnaryOp activation);
 /** Cascade for a sub-layer of a given model. */
 einsum::Cascade buildCascade(LayerKind kind,
                              const TransformerConfig &cfg);
+
+/**
+ * The compiled form of buildCascade(kind, cfg), lowered once per
+ * process and immutable for its life.  Entries are keyed by what
+ * buildCascade reads: the kind, `d_model` for LayerNorm (its 1/D
+ * mean scales) and `activation` for FFN.  They hold shape-free IR
+ * only (no extents, arch or latencies), so every caller still binds
+ * its own dims and runs its own cost formulas.  Runs
+ * cfg.validate().  Thread-safe; the memo has its own mutex rather
+ * than living in costmodel::CostTableCache, whose cached builders
+ * call this while holding that cache's lock.
+ */
+const einsum::CompiledCascade &libraryCascade(
+    LayerKind kind, const TransformerConfig &cfg);
+
+/** The compiled buildUnfusedMhaCascade(), lowered once per
+ *  process. */
+const einsum::CompiledCascade &unfusedMhaLibraryCascade();
 
 } // namespace transfusion::model
 

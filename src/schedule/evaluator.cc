@@ -122,6 +122,17 @@ Evaluator::Evaluator(arch::ArchConfig arch,
     } else {
         qkv_dims_ = dims_;
     }
+    for (const LayerKind kind : model::allLayerKinds()) {
+        const einsum::DimEnv &dims =
+            kind == LayerKind::Qkv ? qkv_dims_ : dims_;
+        BoundCascade &layer = layers_[layerIndex(kind)];
+        layer.ir = &model::libraryCascade(kind, cfg_);
+        layer.x = layer.ir->bind(dims);
+        layer.epochs = dpipe::pipelineEpochs(model::peMapping(kind),
+                                             dims, arch_);
+    }
+    unfused_mha_.ir = &model::unfusedMhaLibraryCascade();
+    unfused_mha_.x = unfused_mha_.ir->bind(dims_);
 }
 
 double
@@ -134,51 +145,44 @@ Evaluator::bufferWords() const
 dpipe::PipelineResult
 Evaluator::computePlan(LayerKind kind, StrategyKind strategy) const
 {
-    const bool is_mha = kind == LayerKind::Mha;
-    const einsum::DimEnv &dims =
-        kind == LayerKind::Qkv ? qkv_dims_ : dims_;
+    const BoundCascade &layer = layers_[layerIndex(kind)];
     switch (strategy) {
       case StrategyKind::Unfused:
-        return dpipe::scheduleSequential(
-            is_mha ? model::buildUnfusedMhaCascade()
-                   : model::buildCascade(kind, cfg_),
-            dims, arch_, opts_.pipeline);
-      case StrategyKind::Flat:
+      case StrategyKind::Flat: {
         // FLAT fuses attention on-chip per Q row but recomputes a
         // full (multi-pass) row softmax and executes operators
-        // serially -- the unfused MHA cascade models its compute.
-        return dpipe::scheduleSequential(
-            is_mha ? model::buildUnfusedMhaCascade()
-                   : model::buildCascade(kind, cfg_),
-            dims, arch_, opts_.pipeline);
+        // serially -- the unfused MHA cascade models its compute,
+        // as it does the Unfused baseline's.
+        const BoundCascade &serial =
+            kind == LayerKind::Mha ? unfused_mha_ : layer;
+        return dpipe::scheduleSequential(*serial.ir, serial.x, arch_,
+                                         opts_.pipeline);
+      }
       case StrategyKind::FuseMax:
       case StrategyKind::FuseMaxLayerFuse:
         // FuseMax pipelines inside MHA only (with partial softmax
         // mapped onto the 2D array); the rest is serial.
-        if (is_mha) {
+        if (kind == LayerKind::Mha) {
             auto popts = opts_.pipeline;
             popts.static_exp_on_2d = true;
-            return dpipe::scheduleStaticPipeline(
-                model::buildCascade(kind, cfg_), dims, arch_,
-                popts);
+            return dpipe::scheduleStaticPipeline(*layer.ir, layer.x,
+                                                 arch_, popts);
         }
-        return dpipe::scheduleSequential(
-            model::buildCascade(kind, cfg_), dims, arch_,
-            opts_.pipeline);
+        return dpipe::scheduleSequential(*layer.ir, layer.x, arch_,
+                                         opts_.pipeline);
       case StrategyKind::TransFusion: {
         // DPipe explores three plan families and keeps the best:
         // bipartition pipelining with DP placement, the static
         // 2D/1D split, and the cooperative tile-split execution.
-        const auto cascade = model::buildCascade(kind, cfg_);
-        auto best = dpipe::schedulePipeline(cascade, dims, arch_,
-                                            model::peMapping(kind),
+        auto best = dpipe::schedulePipeline(*layer.ir, layer.x,
+                                            layer.epochs, arch_,
                                             opts_.pipeline);
-        auto fixed = dpipe::scheduleStaticPipeline(cascade, dims,
+        auto fixed = dpipe::scheduleStaticPipeline(*layer.ir, layer.x,
                                                    arch_,
                                                    opts_.pipeline);
         if (fixed.total_seconds < best.total_seconds)
             best = fixed;
-        auto coop = dpipe::scheduleCooperative(cascade, dims,
+        auto coop = dpipe::scheduleCooperative(*layer.ir, layer.x,
                                                arch_,
                                                opts_.pipeline);
         if (coop.total_seconds < best.total_seconds)
@@ -335,10 +339,10 @@ costmodel::EnergyBreakdown
 Evaluator::onChipEnergy(LayerKind kind, StrategyKind strategy) const
 {
     const bool is_mha = kind == LayerKind::Mha;
-    const einsum::Cascade cascade =
+    const BoundCascade &cascade =
         (is_mha && strategy == StrategyKind::Unfused)
-            ? model::buildUnfusedMhaCascade()
-            : model::buildCascade(kind, cfg_);
+            ? unfused_mha_
+            : layers_[layerIndex(kind)];
 
     costmodel::OnChipParams params;
     switch (strategy) {
@@ -355,10 +359,8 @@ Evaluator::onChipEnergy(LayerKind kind, StrategyKind strategy) const
         params.rf_forward_fraction = opts_.rf_forward_fused;
         break;
     }
-    return costmodel::cascadeOnChipEnergy(
-               cascade,
-               kind == LayerKind::Qkv ? qkv_dims_ : dims_, arch_,
-               params)
+    return costmodel::cascadeOnChipEnergy(*cascade.ir, cascade.x,
+                                          arch_, params)
         .scaled(static_cast<double>(cfg_.batch));
 }
 

@@ -11,6 +11,7 @@
 #ifndef TRANSFUSION_SCHEDULE_EVALUATOR_HH
 #define TRANSFUSION_SCHEDULE_EVALUATOR_HH
 
+#include <array>
 #include <cstdint>
 
 #include "arch/arch.hh"
@@ -124,6 +125,20 @@ class Evaluator
     /** Dims for the QKV layer: context shrinks to the projected
      *  positions when the K/V cache already holds the rest. */
     einsum::DimEnv qkv_dims_;
+
+    /** A process-wide library cascade with this point's extents
+     *  bound once. */
+    struct BoundCascade
+    {
+        const einsum::CompiledCascade *ir = nullptr;
+        einsum::Extents x;
+        /** DPipe inner-tile epochs (Table 1 mapping). */
+        std::int64_t epochs = 1;
+    };
+    /** Each sub-layer's cascade, by layerIndex. */
+    std::array<BoundCascade, 4> layers_;
+    /** The Unfused baseline's attention (buildUnfusedMhaCascade). */
+    BoundCascade unfused_mha_;
 
     /** Buffer capacity in words. */
     double bufferWords() const;

@@ -12,8 +12,12 @@
  *
  * Seeds fan out over the ThreadPool; gtest assertions are not
  * thread-safe, so workers return failure strings and the main
- * thread asserts the collection is empty.  Own binary under the
- * `chaos` label: heavier than the unit tier, cheap enough for CI.
+ * thread asserts the collection is empty.  A saturating burst,
+ * whose decode rounds often retire several requests at once, is
+ * checked against its own committed digest
+ * (tests/integration/data/saturating_chaos_digests.txt).  Own
+ * binary under the `chaos` label: heavier than the unit tier,
+ * cheap enough for CI.
  */
 
 #include <sstream>
@@ -62,6 +66,20 @@ TEST(Chaos, InvariantsHoldAcrossSeededFaultSchedules)
     EXPECT_EQ(failures.str(), "");
     // The sweep really covered the advertised schedule count.
     EXPECT_GE(kSeeds * kReplicas, 200);
+}
+
+// The seeded cells above rarely retire two requests in one decode
+// round; this burst does, often, so the finish heap's tie order
+// reaches the digest.
+TEST(Chaos, SaturatingCellMatchesCapturedDigest)
+{
+    const DigestFile &oracle = saturatingChaosDigests();
+    ASSERT_EQ(oracle.error(), "");
+    ASSERT_TRUE(oracle.has(kSaturatingCell));
+    for (const int threads : { 1, 4 }) {
+        SCOPED_TRACE("threads " + std::to_string(threads));
+        EXPECT_EQ(oracle.check(saturatingCellDigest(threads)), "");
+    }
 }
 
 } // namespace

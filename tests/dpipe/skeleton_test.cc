@@ -190,5 +190,46 @@ TEST(PipelineSkeleton, RacingThreadsBuildOneSkeletonAndMatchSerial)
     }
 }
 
+/** The library-cascade memo, raced from a cold key: every thread
+ *  gets the one entry, and plans on it match the string path. */
+TEST(LibraryCascade, RacingThreadsShareOneEntry)
+{
+    // A LayerNorm width no other test uses keys a fresh entry.
+    model::TransformerConfig cfg = model::bertBase();
+    cfg.heads = 7;
+    cfg.head_dim = 9;
+    cfg.d_model = 63;
+    const arch::ArchConfig arch = arch::edgeArch();
+    const einsum::DimEnv dims = model::makeDims(cfg, 256, 16, 16);
+    const auto kind = LayerKind::LayerNorm;
+
+    constexpr int kThreads = 4;
+    std::array<const einsum::CompiledCascade *, kThreads> got{};
+    std::array<PipelineResult, kThreads> plans;
+    std::latch start(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            start.arrive_and_wait();
+            const auto &c = model::libraryCascade(kind, cfg);
+            got[static_cast<std::size_t>(t)] = &c;
+            plans[static_cast<std::size_t>(t)] = schedulePipeline(
+                c, c.bind(dims),
+                pipelineEpochs(model::peMapping(kind), dims, arch),
+                arch);
+        });
+    }
+    for (auto &th : threads)
+        th.join();
+    const PipelineResult serial =
+        schedulePipeline(model::buildCascade(kind, cfg), dims, arch,
+                         model::peMapping(kind));
+    for (int t = 0; t < kThreads; ++t) {
+        SCOPED_TRACE("thread " + std::to_string(t));
+        EXPECT_EQ(got[static_cast<std::size_t>(t)], got[0]);
+        expectSamePlan(plans[static_cast<std::size_t>(t)], serial);
+    }
+}
+
 } // namespace
 } // namespace transfusion::dpipe

@@ -78,6 +78,19 @@ TEST(Einsum, ReductionIndicesAreInputsMinusOutputs)
               (std::vector<std::string>{ "k" }));
 }
 
+TEST(Einsum, ReductionIndicesKeepFirstSeenOrder)
+{
+    // Inputs in order, each outer to inner; a label repeated across
+    // operands (k) or shared with the output (n) is not re-added.
+    // The compiled IR's reduction dims and Eq. 40's product follow
+    // this order.
+    Einsum z("Z", { "n" });
+    z.input("A", { "k", "m", "n" }).input("B", { "j", "k", "i" })
+        .combine(CombineOp::Mul).reduce(ReduceOp::Sum);
+    EXPECT_EQ(z.reductionIndices(),
+              (std::vector<std::string>{ "k", "m", "j", "i" }));
+}
+
 TEST(Einsum, ComputeLoadMatchesEq40)
 {
     // Eq. 40: load = prod(output dims) * prod(reduction dims).
